@@ -14,7 +14,9 @@
 # point with zero oracle violations), then the update-transaction
 # (rollback), quiescence-escalation, and GC-fuzz suites under a sanitizer
 # build — including a pass with both update-time fault sites armed via
-# the environment.
+# the environment — and the telemetry and canary suites under
+# ThreadSanitizer with the streaming pipeline live. A closing summary
+# lists every pass that was skipped.
 #
 #   scripts/tier1.sh [sanitizer]
 #
@@ -25,6 +27,7 @@ cd "$(dirname "$0")/.."
 
 SAN="${1:-address}"
 JOBS="$(nproc 2>/dev/null || echo 2)"
+SKIPPED=()
 
 cmake -B build -S .
 cmake --build build -j "$JOBS"
@@ -72,6 +75,7 @@ if command -v clang-tidy > /dev/null 2>&1; then
   clang-tidy -p build --quiet src/dsu/*.cpp src/bytecode/*.cpp
 else
   echo "tier1: clang-tidy not found; skipping static-analysis pass"
+  SKIPPED+=("clang-tidy: SKIPPED (not installed)")
 fi
 
 # Telemetry pass: every VM the suite builds records metrics and streams
@@ -239,4 +243,21 @@ if [ "${JVOLVE_SKIP_SANITIZE:-0}" != "1" ]; then
   # take) and rerun the fault-driven cases under the sanitizer.
   JVOLVE_INJECT='quiescence-watchdog-expiry:1:3,net-slow-client:1:2' \
     "build-$SAN/tests/quiescence_test" --gtest_filter='QuiescenceFault.*'
+
+  # Race pass: the telemetry and canary suites under ThreadSanitizer with
+  # the streaming pipeline live, so the background writer thread runs
+  # against every flag and instrument the VM thread touches.
+  cmake -B build-thread -S . -DJVOLVE_SANITIZE=thread
+  cmake --build build-thread -j "$JOBS" --target telemetry_test canary_test
+  JVOLVE_TELEMETRY=1 JVOLVE_STATS_WINDOW=2000 TSAN_OPTIONS=halt_on_error=1 \
+    ctest --test-dir build-thread --output-on-failure -j "$JOBS" \
+    -R 'Telemetry|Canary'
+else
+  SKIPPED+=("sanitizer passes: SKIPPED (JVOLVE_SKIP_SANITIZE=1)")
 fi
+
+echo "tier1: summary"
+echo "  all enabled passes: OK"
+for S in "${SKIPPED[@]+"${SKIPPED[@]}"}"; do
+  echo "  $S"
+done

@@ -4,6 +4,8 @@
 #include "support/Error.h"
 
 #include <cstring>
+#include <sys/mman.h>
+#include <unistd.h>
 
 using namespace jvolve;
 
@@ -18,17 +20,32 @@ Heap::Heap(size_t Bytes)
           Telemetry::global().counter(metrics::HeapBytesAllocated)) {
   if (SpaceBytes < 4096)
     fatalError("heap semi-space too small");
-  // Spaces are never read before being written (objects are zeroed at
-  // allocation), so skip the value-initialization memset.
-  Spaces[0] = std::make_unique_for_overwrite<uint8_t[]>(SpaceBytes);
-  Spaces[1] = std::make_unique_for_overwrite<uint8_t[]>(SpaceBytes);
+  // Anonymous mappings commit pages on first touch, so an untouched tail
+  // of a space costs nothing resident.
+  size_t Page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
+  size_t Usable = (SpaceBytes + Page - 1) & ~(Page - 1);
+  MappedBytes = Usable + Page;
+  for (uint8_t *&Space : Spaces) {
+    void *M = mmap(nullptr, MappedBytes, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (M == MAP_FAILED)
+      fatalError("cannot map heap semi-space");
+    Space = static_cast<uint8_t *>(M);
+    if (mprotect(Space + Usable, Page, PROT_NONE) != 0)
+      fatalError("cannot protect heap guard page");
+  }
+}
+
+Heap::~Heap() {
+  for (uint8_t *Space : Spaces)
+    munmap(Space, MappedBytes);
 }
 
 Ref Heap::allocateRaw(size_t Bytes) {
   Bytes = alignUp(Bytes);
   if (Bump[Current] + Bytes > SpaceBytes)
     return nullptr;
-  Ref Obj = Spaces[Current].get() + Bump[Current];
+  Ref Obj = Spaces[Current] + Bump[Current];
   Bump[Current] += Bytes;
   return Obj;
 }
@@ -39,7 +56,7 @@ Ref Heap::allocateInOtherSpace(size_t Bytes) {
   if (Bump[Other] + Bytes > SpaceBytes)
     fatalError("to-space exhausted during collection; "
                "enlarge the heap (DSU needs room for duplicate copies)");
-  Ref Obj = Spaces[Other].get() + Bump[Other];
+  Ref Obj = Spaces[Other] + Bump[Other];
   Bump[Other] += Bytes;
   return Obj;
 }
@@ -49,7 +66,7 @@ Ref Heap::tryAllocateInOtherSpace(size_t Bytes) {
   int Other = 1 - Current;
   if (Bump[Other] + Bytes > SpaceBytes)
     return nullptr;
-  Ref Obj = Spaces[Other].get() + Bump[Other];
+  Ref Obj = Spaces[Other] + Bump[Other];
   Bump[Other] += Bytes;
   return Obj;
 }
@@ -137,11 +154,9 @@ void Heap::flip() {
 }
 
 bool Heap::inCurrentSpace(Ref Obj) const {
-  return Obj >= Spaces[Current].get() &&
-         Obj < Spaces[Current].get() + SpaceBytes;
+  return Obj >= Spaces[Current] && Obj < Spaces[Current] + SpaceBytes;
 }
 
 bool Heap::inOtherSpace(Ref Obj) const {
-  return Obj >= Spaces[1 - Current].get() &&
-         Obj < Spaces[1 - Current].get() + SpaceBytes;
+  return Obj >= Spaces[1 - Current] && Obj < Spaces[1 - Current] + SpaceBytes;
 }

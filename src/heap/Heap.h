@@ -8,6 +8,12 @@
 /// Mutators allocate in the current space. During a collection the
 /// collector copies live objects into the other space and then flips.
 ///
+/// Each semi-space is its own anonymous mapping, rounded up to whole
+/// pages and followed by a PROT_NONE guard page, so an overrun past the
+/// mapping faults in every build. The resident footprint is exactly the
+/// pages the VM touched; it does not depend on how earlier heaps left the
+/// malloc arena.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef JVOLVE_HEAP_HEAP_H
@@ -28,6 +34,9 @@ public:
   /// Creates a heap whose semi-spaces hold \p SpaceBytes each (total
   /// footprint is 2 * SpaceBytes, like any semi-space collector).
   explicit Heap(size_t SpaceBytes);
+  ~Heap();
+  Heap(const Heap &) = delete;
+  Heap &operator=(const Heap &) = delete;
 
   /// Raw bump allocation in the current space; returns nullptr when full
   /// (the VM then triggers a collection and retries).
@@ -109,8 +118,8 @@ public:
   /// \returns true if \p Obj points into the copy space.
   bool inOtherSpace(Ref Obj) const;
 
-  uint8_t *currentSpaceStart() const { return Spaces[Current].get(); }
-  uint8_t *otherSpaceStart() const { return Spaces[1 - Current].get(); }
+  uint8_t *currentSpaceStart() const { return Spaces[Current]; }
+  uint8_t *otherSpaceStart() const { return Spaces[1 - Current]; }
 
   size_t bytesAllocated() const { return Bump[Current]; }
   size_t otherBytesAllocated() const { return Bump[1 - Current]; }
@@ -121,7 +130,8 @@ public:
 
 private:
   size_t SpaceBytes;
-  std::unique_ptr<uint8_t[]> Spaces[2];
+  size_t MappedBytes = 0; ///< per space: SpaceBytes page-rounded + guard page
+  uint8_t *Spaces[2] = {nullptr, nullptr};
   size_t Bump[2] = {0, 0};
   int Current = 0;
   uint64_t NumAllocated = 0;

@@ -16,6 +16,11 @@
 ///    of a live object in the current space;
 ///  * reference-array flags agree with the array class's element kind.
 ///
+/// Cost is two linear passes: the first records object starts in a bitmap
+/// (one bit per 8-byte granule, heap/64 bytes), the second checks every
+/// reference against it in address order. Diagnostic text is built only
+/// for a failed check, so a clean heap costs no string work.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef JVOLVE_HEAP_HEAPVERIFIER_H
@@ -76,8 +81,6 @@ public:
              &EnumerateRoots);
 
 private:
-  bool isValidObjectStart(Ref Obj) const;
-
   Heap &TheHeap;
   ClassRegistry &Registry;
   std::function<bool(Ref)> LazyIsPendingShell;

@@ -11,7 +11,7 @@
 
 using namespace jvolve;
 
-bool Telemetry::Enabled = false;
+std::atomic<bool> Telemetry::Enabled{false};
 
 std::string metrics::dsuPhaseMs(const std::string &Phase) {
   return "dsu.update.phase_ms{phase=" + Phase + "}";
@@ -259,13 +259,13 @@ Telemetry &Telemetry::global() {
 Telemetry::Telemetry() {
   const char *Env = std::getenv("JVOLVE_TELEMETRY");
   if (Env && Env[0] && std::strcmp(Env, "0") != 0)
-    Enabled = true;
+    setEnabled(true);
   const char *WindowEnv = std::getenv("JVOLVE_STATS_WINDOW");
   if (WindowEnv && WindowEnv[0]) {
     long long Ticks = std::atoll(WindowEnv);
     if (Ticks > 0) {
       windows().configure(static_cast<uint64_t>(Ticks));
-      Enabled = true; // windowed stats over frozen metrics are meaningless
+      setEnabled(true); // windowed stats over frozen metrics are meaningless
     }
   }
   const char *TraceOut = std::getenv("JVOLVE_TRACE_OUT");
@@ -476,7 +476,7 @@ bool Telemetry::openTrace(const std::string &Path) {
   DefaultSession = streamer().openSession(std::move(Cfg));
   if (!DefaultSession)
     return false;
-  Enabled = true;
+  setEnabled(true);
   return true;
 }
 

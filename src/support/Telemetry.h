@@ -390,8 +390,10 @@ public:
   static Telemetry &global();
 
   /// Global enabled flag; the single branch every record path takes.
-  static bool isEnabled() { return Enabled; }
-  void setEnabled(bool V) { Enabled = V; }
+  /// Atomic because openTrace() may flip it while the streamer's writer
+  /// thread already reads it; a relaxed load is a plain load on x86.
+  static bool isEnabled() { return Enabled.load(std::memory_order_relaxed); }
+  void setEnabled(bool V) { Enabled.store(V, std::memory_order_relaxed); }
 
   /// Finds or creates an instrument. Creation allocates; call once at
   /// subsystem construction and keep the handle. Handles are never
@@ -482,7 +484,7 @@ private:
   ~Telemetry(); // never runs (the singleton is immortal); defined where
                 // TelemetryStreamer is complete so members destruct
 
-  static bool Enabled;
+  static std::atomic<bool> Enabled;
 
   // std::map: deterministic iteration order for snapshots.
   std::map<std::string, std::unique_ptr<TelCounter>> Counters;

@@ -265,3 +265,174 @@ TEST(HeapVerifier, CleanAcrossAppUpdateStream) {
   TheVM.collectGarbage();
   EXPECT_TRUE(verifyHeap(TheVM).empty());
 }
+
+//===----------------------------------------------------------------------===//
+// Start-bitmap edge cases. Object starts live in one bit per 8-byte
+// granule; these pin the boundaries of that representation and the exact
+// problem texts callers (chaos oracles, app tests) match on.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+const std::string Interior = "PairX.other points into the middle of an object";
+const std::string Outside = "PairX.other points outside the live heap";
+
+void rootPair(VM &TheVM, Ref Obj) {
+  TheVM.registry().cls(TheVM.registry().idOf("H")).Statics[0] =
+      Slot::ofRef(Obj);
+}
+
+} // namespace
+
+TEST(HeapVerifier, UnalignedInteriorPointerIsCaught) {
+  VM TheVM(smallConfig());
+  TheVM.loadProgram(pairVersion(false));
+  Ref A = makePair(TheVM, 1, nullptr);
+  Ref B = makePair(TheVM, 2, nullptr);
+  rootPair(TheVM, A);
+  TransformCtx Ctx(TheVM, nullptr);
+  Ctx.setRef(A, "other", B + 3); // off the 8-byte grid, inside B
+  EXPECT_EQ(verifyHeap(TheVM), std::vector<std::string>{Interior});
+}
+
+TEST(HeapVerifier, PointerAtBumpEndIsOutside) {
+  VM TheVM(smallConfig());
+  TheVM.loadProgram(pairVersion(false));
+  Ref A = makePair(TheVM, 1, nullptr);
+  rootPair(TheVM, A);
+  Ref End = TheVM.heap().currentSpaceStart() + TheVM.heap().bytesAllocated();
+  TransformCtx Ctx(TheVM, nullptr);
+  Ctx.setRef(A, "other", End);
+  EXPECT_EQ(verifyHeap(TheVM), std::vector<std::string>{Outside});
+}
+
+TEST(HeapVerifier, InteriorPointersAcrossBitmapWordBoundary) {
+  VM TheVM(smallConfig());
+  TheVM.loadProgram(pairVersion(false));
+  const size_t Size =
+      TheVM.registry().cls(TheVM.registry().idOf("PairX")).InstanceSize;
+  std::vector<Ref> Pairs;
+  for (int I = 0; I < 80; ++I)
+    Pairs.push_back(makePair(TheVM, I, nullptr));
+  rootPair(TheVM, Pairs[0]);
+  uint8_t *Base = TheVM.heap().currentSpaceStart();
+  auto Off = [Base](Ref R) { return static_cast<size_t>(R - Base); };
+
+  // One bitmap word covers 64 granules of 8 bytes. Take a word boundary
+  // inside the pair run; the four holders sit in later words, so pass 2
+  // must also find them through the bitmap past word 0.
+  constexpr size_t WordBytes = 64 * 8;
+  size_t Boundary = (Off(Pairs[4]) / WordBytes + 1) * WordBytes;
+  const size_t H = Pairs.size() - 4;
+  ASSERT_GE(Off(Pairs[H]), Boundary + WordBytes);
+  auto Containing = [&](size_t At) -> Ref {
+    for (Ref P : Pairs)
+      if (At >= Off(P) && At < Off(P) + Size)
+        return P;
+    return nullptr;
+  };
+  // An interior granule in the last word below the boundary and one in
+  // the first word above it, whichever object happens to straddle.
+  Ref Below = Containing(Boundary - 8);
+  Ref Above = Containing(Boundary);
+  ASSERT_TRUE(Below && Above);
+  size_t LowOff = Off(Below) == Boundary - 8 ? Boundary - 16 : Boundary - 8;
+  size_t HighOff = Off(Above) == Boundary ? Boundary + 8 : Boundary;
+  ASSERT_NE(Containing(LowOff), nullptr);
+  ASSERT_NE(Off(Containing(LowOff)), LowOff);
+  ASSERT_NE(Off(Containing(HighOff)), HighOff);
+
+  TransformCtx Ctx(TheVM, nullptr);
+  Ctx.setRef(Pairs[H], "other", Base + LowOff);
+  Ctx.setRef(Pairs[H + 1], "other", Base + HighOff);
+  // The starts on both sides of the boundary are valid targets.
+  Ctx.setRef(Pairs[H + 2], "other", Below);
+  Ctx.setRef(Pairs[H + 3], "other", Above);
+  EXPECT_EQ(verifyHeap(TheVM), (std::vector<std::string>{Interior, Interior}));
+
+  // Every pair start in the run, across all its bitmap words, is valid.
+  for (size_t I = 0; I + 1 < Pairs.size(); ++I)
+    Ctx.setRef(Pairs[I], "other", Pairs[I + 1]);
+  EXPECT_TRUE(verifyHeap(TheVM).empty());
+}
+
+TEST(HeapVerifier, RootIntoMiddleOfObject) {
+  VM TheVM(smallConfig());
+  TheVM.loadProgram(pairVersion(false));
+  Ref A = makePair(TheVM, 1, nullptr);
+  rootPair(TheVM, A);
+  Ref Bad = A + 8;
+  TheVM.pinnedRoots().push_back(Bad);
+  size_t Index = 0, BadIndex = SIZE_MAX;
+  TheVM.visitRoots([&](Ref &R) {
+    if (R == Bad && BadIndex == SIZE_MAX)
+      BadIndex = Index;
+    ++Index;
+  });
+  ASSERT_NE(BadIndex, SIZE_MAX);
+  EXPECT_EQ(verifyHeap(TheVM),
+            std::vector<std::string>{"root #" + std::to_string(BadIndex) +
+                                     " points into the middle of an object"});
+  TheVM.pinnedRoots().clear();
+}
+
+TEST(HeapVerifier, ProblemFloodIsCappedAt32) {
+  VM TheVM(smallConfig());
+  TheVM.loadProgram(pairVersion(false));
+  static uint8_t Junk[64];
+  TransformCtx Ctx(TheVM, nullptr);
+  for (int I = 0; I < 40; ++I)
+    Ctx.setRef(makePair(TheVM, I, nullptr), "other", Junk);
+  std::vector<std::string> Problems = verifyHeap(TheVM);
+  EXPECT_EQ(Problems, std::vector<std::string>(32, Outside));
+}
+
+TEST(HeapVerifier, ClassFocusSkipsUnfocusedFieldChecks) {
+  VM TheVM(smallConfig());
+  TheVM.loadProgram(pairVersion(false));
+  ClassRegistry &Reg = TheVM.registry();
+  TransformCtx Ctx(TheVM, nullptr);
+  std::vector<Ref> Pairs;
+  for (int I = 0; I < 10; ++I)
+    Pairs.push_back(makePair(TheVM, I, nullptr));
+  rootPair(TheVM, Pairs[0]);
+  Ref Arr = TheVM.allocateArray(Reg.arrayClassOf(Type::refTy("PairX")), 3);
+  setRefAt(Arr, arrayElemOffset(1), Pairs[1] + 8); // arrays always checked
+  Ctx.setRef(Pairs[2], "other", Pairs[3] + 8);
+  auto Roots = [&TheVM](const std::function<void(Ref &)> &Visit) {
+    TheVM.visitRoots(Visit);
+  };
+
+  // Independent count: every non-array object in the heap whose class is
+  // outside the focus.
+  auto CountUnfocused = [&](const std::string &Focus) {
+    size_t N = 0;
+    uint8_t *Base = TheVM.heap().currentSpaceStart();
+    for (size_t Off = 0; Off < TheVM.heap().bytesAllocated();) {
+      const RtClass &Cls = Reg.cls(classOf(Base + Off));
+      N += !Cls.IsArray && Cls.Name != Focus;
+      Off += (objectBytes(Cls, Base + Off) + 7) & ~size_t(7);
+    }
+    return N;
+  };
+  std::string ArrName = Reg.cls(classOf(Arr)).Name;
+
+  {
+    HeapVerifier V(TheVM.heap(), Reg);
+    V.setClassFocus({"H"});
+    EXPECT_EQ(V.verify(Roots),
+              std::vector<std::string>{
+                  ArrName + "[1] points into the middle of an object"});
+    EXPECT_EQ(V.objectsSkipped(), CountUnfocused("H"));
+    EXPECT_GE(V.objectsSkipped(), Pairs.size());
+  }
+  {
+    HeapVerifier V(TheVM.heap(), Reg);
+    V.setClassFocus({"PairX"});
+    EXPECT_EQ(V.verify(Roots),
+              (std::vector<std::string>{
+                  Interior,
+                  ArrName + "[1] points into the middle of an object"}));
+    EXPECT_EQ(V.objectsSkipped(), CountUnfocused("PairX"));
+  }
+}

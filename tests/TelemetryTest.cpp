@@ -240,6 +240,26 @@ TEST_F(TelemetryTest, OpenTraceEnablesTelemetryAndEmits) {
   std::remove(Path.c_str());
 }
 
+TEST_F(TelemetryTest, EnabledFlagFlipsWhileWriterPublishes) {
+  // The streamer's writer thread reads the enabled flag on every pass (its
+  // gauge publishes go through the record-path check) while the VM thread
+  // flips the flag without taking the streamer's lock. Under
+  // ThreadSanitizer that is a reported race unless the flag is atomic.
+  Telemetry &Tel = Telemetry::global();
+  std::string Path = ::testing::TempDir() + "telemetry_flip_test.jsonl";
+  ASSERT_TRUE(Tel.openTrace(Path));
+  auto Deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(150);
+  while (std::chrono::steady_clock::now() < Deadline) {
+    Tel.setEnabled(false);
+    Tel.setEnabled(true);
+    std::this_thread::yield();
+  }
+  EXPECT_TRUE(Telemetry::isEnabled());
+  Tel.closeTrace();
+  std::remove(Path.c_str());
+}
+
 TEST_F(TelemetryTest, DsuMetricNameBuilders) {
   EXPECT_EQ(metrics::dsuPhaseMs("gc"), "dsu.update.phase_ms{phase=gc}");
   EXPECT_EQ(std::string(metrics::DsuTotalPauseMs), metrics::dsuPhaseMs("total"));
