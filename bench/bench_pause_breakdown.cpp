@@ -14,9 +14,12 @@
 /// must agree. For every applied update of all three application streams,
 /// prints every phase span (snapshot through codeversion), the total, the
 /// unaccounted remainder (total minus the spans), and the time-to-safe-
-/// point in virtual ticks. Exits 1 if the two instruments disagree or if
-/// the spans leave more than 5% + 0.5 ms of a pause unaccounted — a phase
-/// the table does not show cannot hide in the total.
+/// point in virtual ticks. On the populated update (100 k objects) it also
+/// prints gc, transform and certify in ns per updated object. Exits 1 if
+/// the two instruments disagree, if the spans leave more than 5% + 0.5 ms
+/// of a pause unaccounted — a phase the table does not show cannot hide in
+/// the total — or if transform or certify costs more per object than the
+/// collection that copies those objects.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -205,5 +208,21 @@ int main() {
               "the pause\n",
               100.0 * PopulatedT.ms("certify") /
                   std::max(PopulatedT.TotalMs, 1e-6));
-  return Agreements == Rows && Tiled == Rows ? 0 : 1;
+
+  // Per-layer budget: transforming or certifying an object must not cost
+  // more than the collection that copies it.
+  auto NsPerObject = [&](const char *Phase) {
+    return PopulatedT.ms(Phase) * 1e6 /
+           static_cast<double>(std::max<uint64_t>(
+               Populated.ObjectsTransformed, 1));
+  };
+  double GcNs = NsPerObject("gc"), TransformNs = NsPerObject("transform"),
+         CertifyNs = NsPerObject("certify");
+  bool WithinBudget = TransformNs <= GcNs && CertifyNs <= GcNs;
+  std::printf("Per object (populated update, %llu objects): gc %.1f ns, "
+              "transform %.1f ns, certify %.1f ns — transform and certify "
+              "within the gc cost: %s\n",
+              static_cast<unsigned long long>(Populated.ObjectsTransformed),
+              GcNs, TransformNs, CertifyNs, WithinBudget ? "yes" : "NO");
+  return Agreements == Rows && Tiled == Rows && WithinBudget ? 0 : 1;
 }

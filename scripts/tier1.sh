@@ -6,7 +6,10 @@
 # a fourth pass with the full streaming-telemetry pipeline live (JSONL
 # session + windowed aggregation on every VM, plus a ledger-balance check:
 # every event attempted is either streamed or counted dropped), the
-# bench_lazy_pause trade-off gate, the streaming-telemetry overhead gate
+# bench_lazy_pause trade-off gate, the pause-breakdown gate (spans tile the
+# pause; per-object transform and certify within the GC's cost), the
+# repository benchmark's own failed-op checks, the streaming-telemetry
+# overhead gate
 # (bench_telemetry --check + a coarse metrics-diff backstop), the canary
 # pause and revert-convergence gates (an injected health breach must
 # auto-revert and leave zero residual), the chaos-campaign gate (the
@@ -137,6 +140,18 @@ rm -f "$TEL_JSON" "$TEL_TRACE"
 # overhead decaying to no-update parity after the barrier retires, and
 # indirection overhead staying flat. Exit 1 on any violated relation.
 build/bench/bench_lazy_pause --check
+
+# Pause breakdown gate (§4.1): the telemetry spans must agree with the
+# updater's own timers and tile every pause, and on the populated update
+# transform and certify must each cost no more ns per object than the
+# collection. Exit 1 on any violation.
+build/bench/bench_pause_breakdown > /dev/null
+
+# The repository benchmark's own checks (perfbench/checks_test.cpp): a
+# corrupted field, a stale-version response and a dropped response must
+# each count as one failed operation. Builds into $CARGO_TARGET_DIR
+# (default .bench_build) on first use.
+python3 perfbench/run.py --test
 
 # Lazy steady-state convergence: serve the same release history eagerly
 # and lazily; the final snapshots must agree on updates applied, and the

@@ -185,7 +185,7 @@ void CanaryController::finalizeRevert(uint64_t Now) {
     // spec; classes it deleted are back as additions, whose statics no
     // class transformer restored.
     for (const CanaryUndoLog::UndoStatics &S : Undo.statics())
-      Undo.restoreStaticsDirect(TheVM, S.ClassName);
+      Undo.restoreStatics(TheVM, S.ClassName);
     // The reverse collection leaves duplicates of every new-version
     // object in the current space, unreachable once the undo log lets go.
     // Residual means *live* new-version objects, so reclaim the garbage

@@ -87,29 +87,21 @@ jvolve::evaluateCanaryHealth(const CanaryPolicy &Policy,
 // CanaryUndoLog
 //===----------------------------------------------------------------------===//
 
-void CanaryUndoLog::captureObject(VM &TheVM, Ref OldCopy, Ref NewObj) {
-  ClassRegistry &Reg = TheVM.registry();
-  const RtClass &OldCls = Reg.cls(classOf(OldCopy));
-  const RtClass &NewCls = Reg.cls(classOf(NewObj));
-  UndoEntry E;
-  for (const RtField &OF : OldCls.InstanceFields) {
-    const RtField *NF = NewCls.findInstanceField(OF.Name);
-    if (NF && NF->Ty == OF.Ty)
-      continue; // survives the update; nothing to retain
-    UndoField F;
-    F.Name = OF.Name;
-    F.IsRef = OF.IsRef;
-    if (OF.IsRef)
-      F.RefVal = getRefAt(OldCopy, OF.Offset);
-    else
-      F.IntVal = getIntAt(OldCopy, OF.Offset);
-    E.Fields.push_back(std::move(F));
-  }
-  if (E.Fields.empty())
+static CanaryUndoLog::UndoField undoField(const RtField &F, const Slot &V) {
+  return {F.Name, F.IsRef, F.IsRef ? 0 : V.IntVal,
+          F.IsRef ? V.RefVal : nullptr};
+}
+
+void CanaryUndoLog::captureObject(const FieldMovePlan &Plan, Ref OldCopy,
+                                  Ref NewObj) {
+  if (Plan.Unmatched.empty())
     return; // pure additions/body changes leave nothing to undo
-  E.Obj = NewObj;
   Index[NewObj] = Entries.size();
-  Entries.push_back(std::move(E));
+  UndoEntry &E = Entries.emplace_back();
+  E.Obj = NewObj;
+  for (const RtField *OF : Plan.Unmatched)
+    E.Fields.push_back(undoField(*OF, {getIntAt(OldCopy, OF->Offset),
+                                       getRefAt(OldCopy, OF->Offset)}));
 }
 
 void CanaryUndoLog::captureStatics(VM &TheVM, const std::string &ClassName,
@@ -120,23 +112,13 @@ void CanaryUndoLog::captureStatics(VM &TheVM, const std::string &ClassName,
     return;
   const RtClass &Old = Reg.cls(OldId);
   ClassId NewId = Reg.idOf(ClassName); // invalid when the class was deleted
-  const RtClass *New = NewId != InvalidClassId ? &Reg.cls(NewId) : nullptr;
+  FieldMovePlan Plan = FieldMovePlan::resolve(
+      Old, NewId != InvalidClassId ? &Reg.cls(NewId) : nullptr,
+      /*Statics=*/true, {});
   UndoStatics S;
   S.ClassName = ClassName;
-  for (const RtField &OF : Old.StaticFields) {
-    const RtField *NF = New ? New->findStaticField(OF.Name) : nullptr;
-    if (NF && NF->Ty == OF.Ty)
-      continue; // the class transformer carries it over
-    const Slot &V = Old.Statics[OF.Offset];
-    UndoField F;
-    F.Name = OF.Name;
-    F.IsRef = OF.IsRef;
-    if (OF.IsRef)
-      F.RefVal = V.RefVal;
-    else
-      F.IntVal = V.IntVal;
-    S.Fields.push_back(std::move(F));
-  }
+  for (const RtField *OF : Plan.Unmatched)
+    S.Fields.push_back(undoField(*OF, Old.Statics[OF->Offset]));
   if (!S.Fields.empty())
     Statics.push_back(std::move(S));
 }
@@ -153,22 +135,8 @@ void CanaryUndoLog::restoreInto(TransformCtx &Ctx, Ref To) const {
   }
 }
 
-void CanaryUndoLog::restoreStatics(TransformCtx &Ctx,
+void CanaryUndoLog::restoreStatics(VM &TheVM,
                                    const std::string &ClassName) const {
-  for (const UndoStatics &S : Statics) {
-    if (S.ClassName != ClassName)
-      continue;
-    for (const UndoField &F : S.Fields) {
-      if (F.IsRef)
-        Ctx.setStaticRef(ClassName, F.Name, F.RefVal);
-      else
-        Ctx.setStaticInt(ClassName, F.Name, F.IntVal);
-    }
-  }
-}
-
-void CanaryUndoLog::restoreStaticsDirect(VM &TheVM,
-                                         const std::string &ClassName) const {
   ClassRegistry &Reg = TheVM.registry();
   ClassId Id = Reg.idOf(ClassName);
   if (Id == InvalidClassId)
@@ -232,39 +200,27 @@ UpdateBundle jvolve::synthesizeReverseBundle(VM &TheVM,
                                              const std::string &ReverseTag) {
   UpdateBundle RB = Upt::prepare(TheVM.program(), OldProgram, ReverseTag);
 
+  // A registered inverse is trusted in full; the fallback is the default
+  // field-move plan plus the undo log's removed-field restore.
   for (const std::string &Name : RB.Spec.ClassUpdates) {
-    ObjectTransformer UserObj;
     auto OIt = Forward.InverseObjectTransformers.find(Name);
-    if (OIt != Forward.InverseObjectTransformers.end())
-      UserObj = OIt->second;
-    // A registered inverse is trusted in full; the fallback is the default
-    // same-name same-type copy plus the undo log's removed-field restore.
-    RB.ObjectTransformers[Name] = [UserObj, Undo](TransformCtx &Ctx, Ref To,
-                                                  Ref From) {
-      if (UserObj) {
-        UserObj(Ctx, To, From);
-        return;
-      }
-      TransformerRunner::applyDefaultObjectTransform(Ctx.vm(), To, From);
-      if (Undo)
-        Undo->restoreInto(Ctx, To);
-    };
-
-    ClassTransformer UserCls;
+    RB.ObjectTransformers[Name] =
+        OIt != Forward.InverseObjectTransformers.end()
+            ? OIt->second
+            : [Undo](TransformCtx &Ctx, Ref To, Ref From) {
+                Ctx.defaultTransform(To, From);
+                if (Undo)
+                  Undo->restoreInto(Ctx, To);
+              };
     auto CIt = Forward.InverseClassTransformers.find(Name);
-    if (CIt != Forward.InverseClassTransformers.end())
-      UserCls = CIt->second;
-    std::string Renamed = RB.renamedOldClass(Name);
-    RB.ClassTransformers[Name] = [Name, Renamed, UserCls,
-                                  Undo](TransformCtx &Ctx) {
-      if (UserCls) {
-        UserCls(Ctx);
-        return;
-      }
-      TransformerRunner::applyDefaultClassTransform(Ctx.vm(), Name, Renamed);
-      if (Undo)
-        Undo->restoreStatics(Ctx, Name);
-    };
+    RB.ClassTransformers[Name] =
+        CIt != Forward.InverseClassTransformers.end()
+            ? CIt->second
+            : [Name, Undo](TransformCtx &Ctx) {
+                Ctx.defaultClassTransform(Name);
+                if (Undo)
+                  Undo->restoreStatics(Ctx.vm(), Name);
+              };
   }
 
   // Methods the forward update replaced on-stack may be on-stack again

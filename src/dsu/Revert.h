@@ -117,9 +117,10 @@ public:
   };
 
   /// Extracts removed-field values for one forward (OldCopy, NewObj)
-  /// pair: every instance field of \p OldCopy's class with no same-name
-  /// same-type match in \p NewObj's class.
-  void captureObject(VM &TheVM, Ref OldCopy, Ref NewObj);
+  /// pair: the unmatched old fields of \p Plan, the pair's field-move
+  /// plan (no same-name same-type match in the new class).
+  void captureObject(const struct FieldMovePlan &Plan, Ref OldCopy,
+                     Ref NewObj);
 
   /// Extracts removed statics of \p ClassName: declared statics of the
   /// renamed old class \p RenamedOld with no same-name same-type match in
@@ -133,14 +134,10 @@ public:
   /// has no entry (e.g. objects allocated after commit).
   void restoreInto(class TransformCtx &Ctx, Ref To) const;
 
-  /// Reverse class transformer's restore for \p ClassName's statics.
-  void restoreStatics(class TransformCtx &Ctx,
-                      const std::string &ClassName) const;
-
-  /// Post-revert restore for classes the forward update deleted and the
-  /// revert re-added: no class transformer runs for additions, so their
-  /// retained statics are written straight into the registry.
-  void restoreStaticsDirect(VM &TheVM, const std::string &ClassName) const;
+  /// Writes \p ClassName's retained statics into the registry: the reverse
+  /// class transformer's restore, and the post-revert restore for deleted
+  /// classes the revert re-added (no class transformer runs for those).
+  void restoreStatics(VM &TheVM, const std::string &ClassName) const;
 
   /// GC integration (the VM calls these through the canary controller).
   void visitRoots(const std::function<void(Ref &)> &Visit);

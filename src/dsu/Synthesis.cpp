@@ -1,7 +1,6 @@
 #include "dsu/Synthesis.h"
 
 #include "dsu/Dataflow.h"
-#include "dsu/Transformers.h"
 #include "support/Telemetry.h"
 
 #include <algorithm>
@@ -192,17 +191,10 @@ void planFields(const std::vector<const FieldDef *> &OldFields,
   }
 }
 
-/// True when the synthesized plan must be installed as an explicit
-/// transformer: the default copy cannot express a rename, and a faulted
-/// plan must actually run so the fault manifests.
+/// True when the instance transform is more than the default copy: a
+/// rename, or a faulted mapping that must run so the fault manifests.
 bool needsObjectTransformer(const ClassPlan &P) {
-  if (P.Faulted)
-    return true;
-  return P.count(FieldAction::Rename, /*Static=*/false) != 0;
-}
-
-bool needsClassTransformer(const ClassPlan &P) {
-  return P.count(FieldAction::Rename, /*Static=*/true) != 0;
+  return P.Faulted || P.count(FieldAction::Rename, /*Static=*/false) != 0;
 }
 
 std::string jsonEscape(const std::string &S) {
@@ -292,52 +284,20 @@ SynthesisReport TransformerSynthesis::synthesize(const UpdateSpec &Spec,
 
 void TransformerSynthesis::installTransformers(UpdateBundle &B,
                                                const SynthesisReport &R) {
-  for (const ClassPlan &P : R.Classes) {
-    // A custom transformer replaces the default entirely, so the emitted
-    // body must perform every Copy as well as the Renames.
-    if (needsObjectTransformer(P) && !B.ObjectTransformers.count(P.Name)) {
-      struct Row {
-        std::string To, From;
-        bool IsInt;
-      };
-      std::vector<Row> Rows;
-      for (const FieldMapping &M : P.Fields)
-        if (!M.IsStatic && (M.Action == FieldAction::Copy ||
-                            M.Action == FieldAction::Rename))
-          Rows.push_back({M.NewField, M.OldField, M.NewType == "I"});
-      B.ObjectTransformers[P.Name] = [Rows = std::move(Rows)](
-                                         TransformCtx &Ctx, Ref To, Ref From) {
-        for (const Row &Rw : Rows) {
-          if (Rw.IsInt)
-            Ctx.setInt(To, Rw.To, Ctx.getInt(From, Rw.From));
-          else
-            Ctx.setRef(To, Rw.To, Ctx.getRef(From, Rw.From));
-        }
-      };
+  // The default transformer already copies same-name same-type members;
+  // record only the sources it cannot infer (renames, and a source the
+  // synth-transformer-field fault corrupted).
+  for (const ClassPlan &P : R.Classes)
+    for (const FieldMapping &M : P.Fields) {
+      if ((M.Action != FieldAction::Copy && M.Action != FieldAction::Rename) ||
+          M.OldField == M.NewField)
+        continue;
+      bool Handwritten = M.IsStatic ? B.ClassTransformers.count(P.Name)
+                                    : B.ObjectTransformers.count(P.Name);
+      if (!Handwritten)
+        (M.IsStatic ? B.StaticFieldSources
+                    : B.FieldSources)[P.Name][M.NewField] = M.OldField;
     }
-    if (needsClassTransformer(P) && !B.ClassTransformers.count(P.Name)) {
-      struct Row {
-        std::string To, From;
-        bool IsInt;
-      };
-      std::vector<Row> Rows;
-      for (const FieldMapping &M : P.Fields)
-        if (M.IsStatic && (M.Action == FieldAction::Copy ||
-                           M.Action == FieldAction::Rename))
-          Rows.push_back({M.NewField, M.OldField, M.NewType == "I"});
-      std::string NewCls = P.Name;
-      std::string OldCls = B.renamedOldClass(P.Name);
-      B.ClassTransformers[P.Name] = [Rows = std::move(Rows), NewCls,
-                                     OldCls](TransformCtx &Ctx) {
-        for (const Row &Rw : Rows) {
-          if (Rw.IsInt)
-            Ctx.setStaticInt(NewCls, Rw.To, Ctx.getStaticInt(OldCls, Rw.From));
-          else
-            Ctx.setStaticRef(NewCls, Rw.To, Ctx.getStaticRef(OldCls, Rw.From));
-        }
-      };
-    }
-  }
 }
 
 std::set<std::string>

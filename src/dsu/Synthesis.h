@@ -113,14 +113,14 @@ public:
   /// Builds the per-class plans for every class in \p Spec.ClassUpdates.
   /// \p Faults, when given, is probed once per inferred instance-field
   /// mapping (the synth-transformer-field chaos site); a firing probe
-  /// corrupts that mapping so the emitted transformer fails at run time.
+  /// corrupts that mapping's source, so the transform fails at run time.
   SynthesisReport synthesize(const UpdateSpec &Spec,
                              FaultInjector *Faults = nullptr) const;
 
-  /// Installs the synthesized object transformers (and class transformers
-  /// where the static plan goes beyond the default copy) into \p B for
-  /// every planned class *without* a handwritten entry. Handwritten
-  /// transformers always win.
+  /// Records on \p B the field sources the default transformer cannot
+  /// infer (renames; instance fields and statics) for every planned class
+  /// *without* a handwritten entry; the default transformer's field-move
+  /// plan honours them. Handwritten transformers always win.
   static void installTransformers(UpdateBundle &B, const SynthesisReport &R);
 
   /// The runtime mirror of SynthesisReport::ImpactClasses, computable

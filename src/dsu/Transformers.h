@@ -3,17 +3,19 @@
 /// \file
 /// The transformer runtime (paper §2.3, §3.4).
 ///
-/// TransformCtx is the privileged interface transformer bodies run against:
-/// it reads and writes object fields *by name*, bypassing access modifiers
-/// and final-ness (the role of the paper's JastAdd compiler extension), can
-/// allocate new objects/arrays/strings, and exposes the special VM function
-/// that forces a referenced object to be transformed before its fields are
-/// read (with cycle detection).
+/// TransformCtx is the privileged interface handwritten transformer bodies
+/// run against: by-name field access that bypasses access modifiers and
+/// final-ness (the paper's JastAdd extension), allocation, and the forced
+/// transform of a referenced object (with cycle detection). Misuse (null,
+/// unknown field, int/ref mismatch, index out of bounds) throws
+/// UpdateError("transform").
 ///
-/// TransformerRunner executes, after a DSU collection, first every class
-/// transformer and then every object transformer over the update log,
-/// falling back to the UPT-generated default (copy members with matching
-/// name and type; default-initialize the rest).
+/// Every other old -> new field copy runs a FieldMovePlan: slot moves from
+/// same-name same-type matching plus the field sources synthesis records.
+/// TransformerRunner memoizes one plan per (old ClassId, new ClassId) pair
+/// (a handwritten transformer still wins) and runs class transformers or
+/// static plans, then object transformers or instance plans, over the
+/// update log. Lazy bulk-settle and canary undo capture read the same memo.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,6 +31,35 @@
 #include <vector>
 
 namespace jvolve {
+
+/// One resolved field move: old slot Src (object offset or statics index)
+/// to new slot Dst; int and reference fields are both one 8-byte slot.
+struct FieldMove {
+  uint32_t Src = 0, Dst = 0;
+};
+
+/// Which old field feeds which new field, for one (old, new) class pair.
+struct FieldMovePlan {
+  std::vector<FieldMove> Moves;
+  /// Old fields with no same-name same-type new field, whatever the
+  /// explicit sources say: the values a canary undo log must retain.
+  std::vector<const RtField *> Unmatched;
+  /// Every field moves to the same slot of an equal-length field list.
+  bool Identity = false;
+  /// Set when an explicit source names a missing old field; every
+  /// transform of the pair rethrows it as UpdateError("transform").
+  std::string Error;
+
+  /// Resolves \p Old's instance fields (or statics) into \p New's: each
+  /// new field's source in \p Sources[New], else the same-name field, moved
+  /// when the types match. A null \p New (a deleted class) has no fields.
+  static FieldMovePlan
+  resolve(const RtClass &Old, const RtClass *New, bool Statics,
+          const std::map<std::string, FieldSourceMap> &Sources);
+
+  /// Copies every instance move from \p From into \p To; throws Error.
+  void apply(Ref To, Ref From) const;
+};
 
 /// Privileged accessor passed to transformer bodies.
 class TransformCtx {
@@ -69,10 +100,17 @@ public:
   /// transformer set); the updater rolls the update back.
   void ensureTransformed(Ref Obj);
 
+  /// The default transform a handwritten body can build on: runs the
+  /// field-move plan from \p From into \p To, or \p NewClass's static
+  /// plan from its renamed old class.
+  void defaultTransform(Ref To, Ref From);
+  void defaultClassTransform(const std::string &NewClass);
+
   VM &vm() { return TheVM; }
 
 private:
-  const RtField *fieldOf(Ref Obj, const std::string &Field) const;
+  const RtField &fieldOf(Ref Obj, const std::string &Field, bool IsRef) const;
+  uint32_t elemOffset(Ref Arr, int64_t Index) const;
 
   VM &TheVM;
   class TransformerRunner *Runner;
@@ -96,7 +134,7 @@ public:
 
   /// Transforms the log entry at \p Index (cycle-safe; no-op when already
   /// done or failed). The lazy engine's drain loop uses this.
-  void transformAt(size_t Index) { transformEntry(Index); }
+  void transformAt(size_t Index);
 
   /// Force-transforms the log entry for \p NewObj (no-op when \p NewObj is
   /// not a pending new-version object).
@@ -104,23 +142,24 @@ public:
 
   uint64_t objectsTransformed() const { return NumTransformed; }
 
-  /// Copies members with matching name and type from \p From (old layout)
-  /// to \p To (new layout); everything else keeps its default value.
-  static void applyDefaultObjectTransform(VM &TheVM, Ref To, Ref From);
+  /// How instances of \p OldId become \p NewId, memoized: the handwritten
+  /// transformer of the new class (null when none) and the field-move plan.
+  struct Resolution {
+    const ObjectTransformer *Handwritten = nullptr;
+    FieldMovePlan Plan;
+  };
+  const Resolution &resolve(ClassId OldId, ClassId NewId);
 
-  /// Same-name same-type static copy from the renamed old class to the new
-  /// one. Missing old classes (pure additions) are a no-op.
-  static void applyDefaultClassTransform(VM &TheVM,
-                                         const std::string &NewClass,
-                                         const std::string &OldClass);
+  /// Runs \p NewClass's static plan from its renamed old class; a no-op
+  /// when either class is missing (pure additions).
+  void defaultClassTransform(const std::string &NewClass);
 
 private:
-  void transformEntry(size_t Index);
-
   VM &TheVM;
   const UpdateBundle &Bundle;
   std::vector<UpdateLogEntry> &UpdateLog;
   std::unordered_map<Ref, size_t> &NewToLogIndex;
+  std::unordered_map<uint64_t, Resolution> Memo;
   uint64_t NumTransformed = 0;
 };
 

@@ -37,6 +37,9 @@ using ObjectTransformer =
 /// class's statics are reachable through the renamed old class name.
 using ClassTransformer = std::function<void(TransformCtx &)>;
 
+/// Explicit field sources for one class: new field name -> old field name.
+using FieldSourceMap = std::map<std::string, std::string>;
+
 /// Everything needed to apply one dynamic update.
 struct UpdateBundle {
   /// The complete new program version (not just changed classes).
@@ -52,6 +55,10 @@ struct UpdateBundle {
   /// members, default-initialize the rest).
   std::map<std::string, ObjectTransformer> ObjectTransformers;
   std::map<std::string, ClassTransformer> ClassTransformers;
+
+  /// Field sources synthesis records (renames), keyed by class name; the
+  /// default transformer honours them, a handwritten one replaces them.
+  std::map<std::string, FieldSourceMap> FieldSources, StaticFieldSources;
 
   /// Optional inverse transformers, keyed by class name, used only when a
   /// canary window reverts this update: they initialize the *old* version

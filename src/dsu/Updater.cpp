@@ -1193,10 +1193,14 @@ void Updater::installSteps(const std::vector<Frame *> &OsrFrames,
     // fields read out of the old copies, removed statics out of the
     // renamed old classes (dropped below), and the new-version class ids
     // a completed revert must leave no instances of.
-    if (Opts.CanaryWindow.enabled())
-      stageCanaryUndo(UpdateLog);
-
     TransformerRunner Runner(TheVM, Bundle, UpdateLog, NewToLogIndex);
+    if (Opts.CanaryWindow.enabled()) {
+      for (const UpdateLogEntry &E : UpdateLog)
+        CanaryUndo.captureObject(
+            Runner.resolve(classOf(E.OldCopy), classOf(E.NewObj)).Plan,
+            E.OldCopy, E.NewObj);
+      stageCanaryUndo();
+    }
     if (Opts.LazyTransform) {
       // Statics have no read barrier, so class transformers run eagerly;
       // every per-object transform is deferred to the engine. The log is
@@ -1239,7 +1243,7 @@ void Updater::installSteps(const std::vector<Frame *> &OsrFrames,
   } else if (Opts.CanaryWindow.enabled()) {
     // No instances to remap (body-update / addition / deletion-only
     // update); deleted classes may still carry statics worth retaining.
-    stageCanaryUndo({});
+    stageCanaryUndo();
   }
 }
 
@@ -1372,10 +1376,8 @@ UpdateResult Updater::resumeDeferred(UpdateOptions InOpts,
   return R;
 }
 
-void Updater::stageCanaryUndo(const std::vector<UpdateLogEntry> &UpdateLog) {
+void Updater::stageCanaryUndo() {
   ClassRegistry &Reg = TheVM.registry();
-  for (const UpdateLogEntry &E : UpdateLog)
-    CanaryUndo.captureObject(TheVM, E.OldCopy, E.NewObj);
   for (const std::string &Name : Bundle.Spec.ClassUpdates)
     CanaryUndo.captureStatics(TheVM, Name, Bundle.renamedOldClass(Name));
   for (const std::string &Name : Bundle.Spec.DeletedClasses)

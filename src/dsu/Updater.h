@@ -424,9 +424,9 @@ private:
   std::vector<ClassId> CanaryNewClassIds;
   /// Arms the controller at commit (install() calls this after certify).
   void armCanary();
-  /// Extracts the undo log and new-version id set from a just-collected
-  /// update (installSteps calls this before obsolete statics drop).
-  void stageCanaryUndo(const std::vector<UpdateLogEntry> &UpdateLog);
+  /// Extracts removed statics and the new-version id set from a
+  /// just-collected update (installSteps calls this before statics drop).
+  void stageCanaryUndo();
 
   // Id-level views of the spec, resolved against the current registry.
   std::set<MethodId> RestrictedMethodIds; ///< categories (1) and (3)

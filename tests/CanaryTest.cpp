@@ -6,14 +6,17 @@
 /// health evaluator's thresholds, and end-to-end reverts that restore
 /// removed fields, removed statics, and deleted classes — explicitly,
 /// via injected health breaches, under lazy commits, through custom
-/// inverse transformers, and with stacked updates during the window.
+/// inverse transformers, after a synthesized field rename, and with
+/// stacked updates during the window.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
 
+#include "bytecode/Builtins.h"
 #include "dsu/Canary.h"
 #include "dsu/Revert.h"
+#include "dsu/Synthesis.h"
 #include "dsu/Transformers.h"
 #include "dsu/Updater.h"
 #include "dsu/Upt.h"
@@ -107,6 +110,42 @@ ClassSet canaryV2(int64_t GradeConst = 5) {
       .iadd()
       .iret();
   Set.add(P.build());
+  return Set;
+}
+
+/// v1: C{a}, v2: C{b}, each with a constructor storing its parameter into
+/// the field — the copy-chain evidence synthesis needs to prove a -> b a
+/// rename. Setup.init stores 5; Probe.get reads the field.
+ClassSet renameVersion(bool V2) {
+  const char *Field = V2 ? "b" : "a";
+  ClassSet Set;
+  ClassBuilder C("C");
+  C.field(Field, "I");
+  C.method("<init>", "(I)V")
+      .load(0)
+      .load(1)
+      .putfield("C", Field, "I")
+      .ret();
+  Set.add(C.build());
+  ClassBuilder H("Holder");
+  H.staticField("obj", "LC;");
+  Set.add(H.build());
+  ClassBuilder S("Setup");
+  S.staticMethod("init", "()V")
+      .newobj("C")
+      .dup()
+      .iconst(5)
+      .putfield("C", Field, "I")
+      .putstatic("Holder", "obj", "LC;")
+      .ret();
+  Set.add(S.build());
+  ClassBuilder P("Probe");
+  P.staticMethod("get", "()I")
+      .getstatic("Holder", "obj", "LC;")
+      .getfield("C", Field, "I")
+      .iret();
+  Set.add(P.build());
+  ensureBuiltins(Set);
   return Set;
 }
 
@@ -418,6 +457,38 @@ TEST(Canary, CustomInverseTransformerIsTrusted) {
   // Statics still restore from the undo log (no class inverse given).
   EXPECT_EQ(legacyTuning(TheVM), 99);
   expectHeapClean(TheVM, "after inverse-transformer revert");
+}
+
+TEST(Canary, RevertAfterSynthesizedRenameRestoresTheOldField) {
+  ClassSet V1 = renameVersion(false), V2 = renameVersion(true);
+  VM TheVM(smallConfig());
+  TheVM.loadProgram(V1);
+  TheVM.callStatic("Setup", "init", "()V");
+
+  UpdateBundle B = Upt::prepare(V1, V2, "v1");
+  TransformerSynthesis::installTransformers(
+      B, TransformerSynthesis(V1, V2).synthesize(B.Spec));
+  ASSERT_EQ(B.FieldSources["C"]["b"], "a");
+  Updater U(TheVM);
+  UpdateResult Fwd = U.applyNow(std::move(B), canaryOpts());
+  ASSERT_EQ(Fwd.Status, UpdateStatus::Applied) << Fwd.Message;
+  ASSERT_TRUE(Fwd.CanaryArmed);
+  EXPECT_EQ(TheVM.callStatic("Probe", "get", "()I").IntVal, 5);
+
+  // b moves on after commit. The undo capture set is name-based, so `a`
+  // was retained at commit even though the rename fed it into b: the
+  // revert restores a's commit-time value, not b's current one.
+  ClassRegistry &Reg = TheVM.registry();
+  Ref Obj = Reg.cls(Reg.idOf("Holder")).Statics[0].RefVal;
+  TransformCtx(TheVM, nullptr).setInt(Obj, "b", 9);
+  ASSERT_EQ(TheVM.callStatic("Probe", "get", "()I").IntVal, 9);
+
+  UpdateResult Rev = U.revert("undo the rename");
+  ASSERT_EQ(Rev.Status, UpdateStatus::Reverted) << Rev.Message;
+  EXPECT_EQ(TheVM.callStatic("Probe", "get", "()I").IntVal, 5);
+  EXPECT_TRUE(Upt::computeSpec(TheVM.program(), V1).empty());
+  EXPECT_EQ(controller(TheVM)->report().ResidualNewObjects, 0u);
+  expectHeapClean(TheVM, "after rename revert");
 }
 
 //===----------------------------------------------------------------------===//

@@ -5,14 +5,17 @@
 /// shells behind a read barrier, objects transform on first touch or from
 /// the background drainer, the barrier retires to zero steady-state cost,
 /// and post-commit transformer failures degrade (trap + diagnostic)
-/// instead of rolling back. Mid-drain states are observed via schedule()
+/// instead of rolling back — a faulted synthesized field mapping fails
+/// every object of its class and bulk-settles none. Mid-drain states are observed via schedule()
 /// plus manual driving — applyNow() intentionally completes the drain.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
 
+#include "bytecode/Builtins.h"
 #include "dsu/LazyTransform.h"
+#include "dsu/Synthesis.h"
 #include "dsu/Transformers.h"
 #include "dsu/Updater.h"
 #include "dsu/Upt.h"
@@ -109,6 +112,22 @@ ClassSet lazyVersion(bool V2) {
       .intrinsic(IntrinsicId::SleepTicks)
       .jump("top");
   Set.add(I.build());
+  return Set;
+}
+
+/// lazyVersion(false) with a method added to Point: a class update whose
+/// instance layout is unchanged, so its field-move plan is the identity.
+ClassSet pointGainsMethod() {
+  ClassSet Set = lazyVersion(false);
+  ClassBuilder P("Point");
+  P.field("x", "I");
+  P.method("twice", "()I")
+      .load(0)
+      .getfield("Point", "x", "I")
+      .iconst(2)
+      .imul()
+      .iret();
+  Set.replace(P.build());
   return Set;
 }
 
@@ -347,4 +366,52 @@ TEST(LazyTransform, RegularGcDuringDrainMigratesOldCopies) {
     TheVM->run(200);
   EXPECT_TRUE(Engine->retired());
   expectHeapHealthy(*TheVM, "after retirement");
+}
+
+TEST(LazyTransform, FaultedSynthesizedMappingFailsEveryObjectOfItsClass) {
+  // Synthesis needs the built-ins in both program versions.
+  ClassSet V1 = lazyVersion(false), V2 = pointGainsMethod();
+  ensureBuiltins(V1);
+  ensureBuiltins(V2);
+  UpdateOptions Opts;
+  Opts.LazyTransform = true;
+  Opts.ImpactBoundedDrain = true;
+  for (bool Faulted : {false, true}) {
+    SCOPED_TRACE(Faulted ? "faulted mapping" : "clean mapping");
+    std::unique_ptr<VM> TheVM = bootLazyFixture();
+    UpdateBundle B = Upt::prepare(V1, V2, "v1");
+    if (Faulted)
+      TheVM->faults().arm(FaultInjector::Site::SynthTransformerField);
+    SynthesisReport R =
+        TransformerSynthesis(V1, V2).synthesize(B.Spec, &TheVM->faults());
+    ASSERT_NE(R.plan("Point"), nullptr);
+    ASSERT_EQ(R.plan("Point")->Faulted, Faulted);
+    TransformerSynthesis::installTransformers(B, R);
+
+    Updater U(*TheVM);
+    UpdateResult Res = U.applyNow(std::move(B), Opts);
+    // Post-commit there is no snapshot: the faulted update stays Applied
+    // and degrades object by object.
+    ASSERT_EQ(Res.Status, UpdateStatus::Applied) << Res.Message;
+    ASSERT_TRUE(Res.LazyInstalled);
+    LazyTransformEngine *Engine = engineOf(*TheVM);
+    ASSERT_NE(Engine, nullptr);
+    EXPECT_TRUE(Engine->drained());
+    if (!Faulted) {
+      // The identity plan settles every Point in bulk at arm time.
+      EXPECT_EQ(Engine->bulkSettled(), static_cast<uint64_t>(NumPoints));
+      EXPECT_EQ(Engine->failedTransforms(), 0u);
+      EXPECT_EQ(TheVM->callStatic("ArrProbe", "sum", "()I").IntVal, SumV1);
+      continue;
+    }
+    // The failed resolution is cached and rethrown for every object, and
+    // a failed plan is never the identity, so nothing is bulk-settled.
+    EXPECT_EQ(Engine->bulkSettled(), 0u);
+    EXPECT_EQ(Engine->failedTransforms(), static_cast<uint64_t>(NumPoints));
+    ASSERT_EQ(Engine->failures().size(), static_cast<size_t>(NumPoints));
+    for (const LazyTransformError &F : Engine->failures())
+      EXPECT_NE(F.Message.find("has no field 'x__fault'"), std::string::npos)
+          << F.str();
+    expectHeapHealthy(*TheVM, "after faulted drain");
+  }
 }

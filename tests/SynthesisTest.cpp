@@ -361,7 +361,10 @@ TEST(Synthesis, RenamePlanInstallsTransformerUnlessHandwritten) {
     UpdateBundle B = Upt::prepare(Old, New, "test");
     SynthesisReport R = TransformerSynthesis(Old, New).synthesize(B.Spec);
     TransformerSynthesis::installTransformers(B, R);
-    EXPECT_EQ(B.ObjectTransformers.count("C"), 1u);
+    // The rename is recorded as a field source, not a transformer body.
+    EXPECT_EQ(B.FieldSources.count("C"), 1u);
+    EXPECT_EQ(B.FieldSources["C"]["b"], "a");
+    EXPECT_TRUE(B.ObjectTransformers.empty());
   }
   {
     UpdateBundle B = Upt::prepare(Old, New, "test");

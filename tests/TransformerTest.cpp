@@ -3,7 +3,9 @@
 /// \file
 /// Transformer-runtime tests: the privileged TransformCtx accessors, the
 /// force-transform path for dereferencing not-yet-transformed objects
-/// (paper §3.4), cycle detection, and default transformer semantics.
+/// (paper §3.4), cycle detection, default transformer semantics, and
+/// checked misuse (null, kind mismatch, out-of-bounds index) rolling the
+/// update back.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -12,6 +14,7 @@
 #include "dsu/Transformers.h"
 #include "dsu/Updater.h"
 #include "dsu/Upt.h"
+#include "heap/HeapVerifier.h"
 #include "runtime/ObjectModel.h"
 
 #include <cstdlib>
@@ -276,4 +279,70 @@ TEST(Transformer, EnsureTransformedIsNoOpOutsideUpdates) {
   TransformCtx Ctx(TheVM, nullptr);
   Ctx.ensureTransformed(Obj); // must not crash
   Ctx.ensureTransformed(nullptr);
+}
+
+TEST(Transformer, CtxMisuseFailsTheUpdateAndTheHeapStillCertifies) {
+  if (std::getenv("JVOLVE_LAZY"))
+    GTEST_SKIP() << "post-commit transformer failures degrade instead of "
+                    "rolling back under JVOLVE_LAZY=1";
+  // Release builds compile asserts out, so every misuse must surface as
+  // UpdateError("transform"): the update rolls back instead of writing
+  // past an array end, dereferencing null, or storing an int where the
+  // collector expects a reference.
+  struct Misuse {
+    const char *Name;
+    ObjectTransformer Body;
+    const char *Message; ///< fragment of the failure message
+  };
+  const Misuse Cases[] = {
+      {"null object",
+       [](TransformCtx &Ctx, Ref, Ref) { Ctx.getInt(nullptr, "v"); },
+       "accessed on null"},
+      {"null array",
+       [](TransformCtx &Ctx, Ref, Ref) { Ctx.getElemInt(nullptr, 0); },
+       "array access on null"},
+      {"index past the end",
+       [](TransformCtx &Ctx, Ref, Ref) {
+         Ctx.setElemInt(Ctx.allocateArray("I", 2), 2, 7);
+       },
+       "out of bounds"},
+      {"negative index",
+       [](TransformCtx &Ctx, Ref To, Ref) {
+         Ctx.setElemRef(Ctx.allocateArray("LNode;", 2), -1, To);
+       },
+       "out of bounds"},
+      {"setInt on a reference field",
+       [](TransformCtx &Ctx, Ref To, Ref) { Ctx.setInt(To, "next", 1); },
+       "Node.next is a reference"},
+      {"setRef on an int field",
+       [](TransformCtx &Ctx, Ref To, Ref From) { Ctx.setRef(To, "v", From); },
+       "Node.v is not a reference"},
+  };
+  for (const Misuse &M : Cases) {
+    SCOPED_TRACE(M.Name);
+    VM TheVM(smallConfig());
+    TheVM.loadProgram(nodeVersion(false));
+    TheVM.callStatic("Setup", "init", "()V");
+
+    UpdateBundle B = Upt::prepare(nodeVersion(false), nodeVersion(true), "v1");
+    B.ObjectTransformers["Node"] = M.Body;
+    Updater U(TheVM);
+    UpdateResult R = U.applyNow(std::move(B));
+    EXPECT_EQ(R.Status, UpdateStatus::FailedTransformer) << R.Message;
+    EXPECT_NE(R.Message.find(M.Message), std::string::npos) << R.Message;
+
+    HeapVerifier V(TheVM.heap(), TheVM.registry());
+    std::vector<std::string> Problems = V.verify(
+        [&TheVM](const std::function<void(Ref &)> &Visit) {
+          TheVM.visitRoots(Visit);
+        });
+    EXPECT_TRUE(Problems.empty()) << Problems.front();
+    // The rollback kept the old version: head.v is still 1.
+    ClassRegistry &Reg = TheVM.registry();
+    Ref Head = Reg.cls(Reg.idOf("Holder")).Statics[0].RefVal;
+    ASSERT_NE(Head, nullptr);
+    EXPECT_EQ(getIntAt(Head, Reg.cls(classOf(Head)).findInstanceField("v")
+                                 ->Offset),
+              1);
+  }
 }
