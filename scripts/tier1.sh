@@ -211,14 +211,6 @@ scripts/metrics-diff.py "$EAGER_JSON" "$CANARY_JSON" --threshold 1000 \
   > /dev/null || [ $? -ne 2 ]
 rm -f "$EAGER_JSON" "$CANARY_JSON"
 
-# Chaos-campaign gate: sweep every enumerable first-order (site,
-# fire-index) probe point on the email and jetty streams; --check fails
-# on any oracle violation or on an attempted point whose fault did not
-# fire (coverage below 100%). The run is deterministic (fresh VMs,
-# virtual time, fixed seeds), so this is the same sweep every CI pass.
-# chaos-report.py re-applies the gate to the stored JSON report, and
-# metrics-diff asserts the fault.coverage.{probes,covered} gauges made
-# it into the snapshot unchanged.
 # Body-only commit-pause gate: the versioned active-version switch must
 # beat the safe-point pipeline at every heap size, stay ~zero (<= 2 ms),
 # and stay flat while the safe-point pause grows with the heap — the
@@ -235,6 +227,14 @@ scripts/metrics-diff.py "$CV_JSON" "$CV_JSON" \
   --require 'dsu.codeversion.*' > /dev/null
 rm -f "$CV_JSON"
 
+# Chaos-campaign gate: sweep every enumerable first-order (site,
+# fire-index) probe point on the email and jetty streams; --check fails
+# on any oracle violation or on an attempted point whose fault did not
+# fire (coverage below 100%). The run is deterministic (fresh VMs,
+# virtual time, fixed seeds), so this is the same sweep every CI pass.
+# chaos-report.py re-applies the gate to the stored JSON report, and
+# metrics-diff asserts the fault.coverage.{probes,covered} gauges made
+# it into the snapshot unchanged.
 CHAOS_JSON="$(mktemp /tmp/jvolve-tier1-chaos.XXXXXX.json)"
 CHAOS_REPORT="$(mktemp /tmp/jvolve-tier1-chaosrep.XXXXXX.json)"
 build/tools/jvolve-chaos --first-order --check --json \
@@ -250,9 +250,10 @@ rm -f "$CHAOS_JSON" "$CHAOS_REPORT"
 if [ "${JVOLVE_SKIP_SANITIZE:-0}" != "1" ]; then
   cmake -B "build-$SAN" -S . -DJVOLVE_SANITIZE="$SAN"
   cmake --build "build-$SAN" -j "$JOBS" \
-    --target dsu_rollback_test quiescence_test gc_fuzz_test
+    --target dsu_rollback_test quiescence_test gc_fuzz_test \
+    transformer_test lazy_transform_test
   ctest --test-dir "build-$SAN" --output-on-failure -j "$JOBS" \
-    -R 'DsuRollback|Quiescence|GcFuzz'
+    -R 'DsuRollback|Quiescence|GcFuzz|^Transformer\.|^LazyTransform\.'
   # Escalation under injected faults: arm the watchdog-expiry and
   # slow-client sites through the environment (the path production VMs
   # take) and rerun the fault-driven cases under the sanitizer.

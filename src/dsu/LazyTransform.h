@@ -46,7 +46,6 @@
 #include "vm/VM.h"
 
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace jvolve {
@@ -62,11 +61,11 @@ struct LazyTransformError {
   std::string str() const;
 };
 
-/// The engine. Owns the DSU collection's update log, the shell -> entry
-/// index, and a copy of the update bundle (so transformer bodies stay
-/// callable for the engine's whole lifetime); the VM owns the engine
-/// through the VmLazyEngine interface from commit until the next update
-/// replaces it.
+/// The engine. Owns the DSU collection's update log and a copy of the
+/// update bundle (so transformer bodies stay callable for the engine's
+/// whole lifetime); each shell finds its entry through the log index in
+/// its own header (shellLogIndex). The VM owns the engine through the
+/// VmLazyEngine interface from commit until the next update replaces it.
 class LazyTransformEngine : public VmLazyEngine {
 public:
   /// \p OwnsOldCopySpace: the update placed old-version duplicates in the
@@ -78,10 +77,8 @@ public:
   /// handwritten object transformer) — those objects are pure copies, so
   /// the drain loop and the read barrier skip them entirely.
   LazyTransformEngine(VM &TheVM, UpdateBundle Bundle,
-                      std::vector<UpdateLogEntry> Log,
-                      std::unordered_map<Ref, size_t> Index,
-                      bool OwnsOldCopySpace, size_t DrainBatch,
-                      bool ImpactBounded = false);
+                      std::vector<UpdateLogEntry> Log, bool OwnsOldCopySpace,
+                      size_t DrainBatch, bool ImpactBounded = false);
 
   /// Sets the LazyBarriers bit on every compiled method (registry and
   /// active frames) and on future compilations, and publishes the initial
@@ -115,6 +112,9 @@ public:
   /// Entries settled in bulk at arm time (impact-bounded mode only).
   uint64_t bulkSettled() const { return NumBulkSettled; }
   const std::vector<LazyTransformError> &failures() const { return Failures; }
+  /// The adopted update log. Unsettled entries' refs track the heap (they
+  /// are roots); settled entries' refs go stale at the next collection.
+  const std::vector<UpdateLogEntry> &updateLog() const { return UpdateLog; }
 
 private:
   /// Settles the entry at \p Index: runs its transformer (and whatever it
@@ -139,7 +139,6 @@ private:
   VM &TheVM;
   UpdateBundle Bundle;
   std::vector<UpdateLogEntry> UpdateLog;
-  std::unordered_map<Ref, size_t> NewToLogIndex;
   /// Constructed after the containers above — it holds references to them.
   TransformerRunner Runner;
 

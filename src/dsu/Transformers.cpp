@@ -180,12 +180,9 @@ void FieldMovePlan::apply(Ref To, Ref From) const {
     setIntAt(To, M.Dst, getIntAt(From, M.Src));
 }
 
-TransformerRunner::TransformerRunner(
-    VM &TheVM, const UpdateBundle &Bundle,
-    std::vector<UpdateLogEntry> &UpdateLog,
-    std::unordered_map<Ref, size_t> &NewToLogIndex)
-    : TheVM(TheVM), Bundle(Bundle), UpdateLog(UpdateLog),
-      NewToLogIndex(NewToLogIndex) {}
+TransformerRunner::TransformerRunner(VM &TheVM, const UpdateBundle &Bundle,
+                                     std::vector<UpdateLogEntry> &UpdateLog)
+    : TheVM(TheVM), Bundle(Bundle), UpdateLog(UpdateLog) {}
 
 const TransformerRunner::Resolution &
 TransformerRunner::resolve(ClassId OldId, ClassId NewId) {
@@ -253,10 +250,9 @@ void TransformerRunner::transformAt(size_t Index) {
 }
 
 void TransformerRunner::ensureTransformed(Ref NewObj) {
-  auto It = NewToLogIndex.find(NewObj);
-  if (It == NewToLogIndex.end())
-    return; // not a pending new-version object
-  transformAt(It->second);
+  size_t I = shellLogIndex(UpdateLog, NewObj);
+  if (I < UpdateLog.size())
+    transformAt(I);
 }
 
 double TransformerRunner::runClassTransformers() {

@@ -120,8 +120,7 @@ private:
 class TransformerRunner {
 public:
   TransformerRunner(VM &TheVM, const UpdateBundle &Bundle,
-                    std::vector<UpdateLogEntry> &UpdateLog,
-                    std::unordered_map<Ref, size_t> &NewToLogIndex);
+                    std::vector<UpdateLogEntry> &UpdateLog);
 
   /// Executes all class transformers, then all object transformers.
   /// \returns wall-clock milliseconds spent.
@@ -136,8 +135,9 @@ public:
   /// done or failed). The lazy engine's drain loop uses this.
   void transformAt(size_t Index);
 
-  /// Force-transforms the log entry for \p NewObj (no-op when \p NewObj is
-  /// not a pending new-version object).
+  /// Force-transforms the log entry for \p NewObj, found through its
+  /// header (shellLogIndex); a no-op when \p NewObj is not a pending
+  /// new-version shell of this log.
   void ensureTransformed(Ref NewObj);
 
   uint64_t objectsTransformed() const { return NumTransformed; }
@@ -158,7 +158,6 @@ private:
   VM &TheVM;
   const UpdateBundle &Bundle;
   std::vector<UpdateLogEntry> &UpdateLog;
-  std::unordered_map<Ref, size_t> &NewToLogIndex;
   std::unordered_map<uint64_t, Resolution> Memo;
   uint64_t NumTransformed = 0;
 };

@@ -843,7 +843,7 @@ void Updater::install(const std::vector<Frame *> &OsrFrames,
     // failing transformer cannot roll the update back — it degrades it.
     LazyCommitPending = false;
     auto Engine = std::make_unique<LazyTransformEngine>(
-        TheVM, Bundle, std::move(LazyLog), std::move(LazyIndex),
+        TheVM, Bundle, std::move(LazyLog),
         /*OwnsOldCopySpace=*/Opts.UseOldCopySpace, Opts.LazyDrainBatch,
         Opts.ImpactBoundedDrain);
     Engine->arm();
@@ -952,7 +952,6 @@ void Updater::rollback(const ClassRegistry::RegistrySnapshot &RegSnap,
   // to-space objects the rollback is about to discard.
   LazyCommitPending = false;
   LazyLog.clear();
-  LazyIndex.clear();
   // So is canary staging: its undo values were read out of that log.
   CanaryUndo.clear();
   CanaryNewClassIds.clear();
@@ -1180,8 +1179,7 @@ void Updater::installSteps(const std::vector<Frame *> &OsrFrames,
     Remap.OldCopyReserveLimitBytes = Opts.OldCopyReserveLimitBytes;
     Remap.LazyShells = Opts.LazyTransform;
     std::vector<UpdateLogEntry> UpdateLog;
-    std::unordered_map<Ref, size_t> NewToLogIndex;
-    Result.Gc = TheVM.collectGarbage(&Remap, &UpdateLog, &NewToLogIndex);
+    Result.Gc = TheVM.collectGarbage(&Remap, &UpdateLog);
     Result.GcMs = Result.Gc.GcMs;
     markPhase("gc", static_cast<int64_t>(Result.Gc.ObjectsRemapped));
     Result.Trace.record(UpdateEventKind::GcCompleted,
@@ -1193,7 +1191,7 @@ void Updater::installSteps(const std::vector<Frame *> &OsrFrames,
     // fields read out of the old copies, removed statics out of the
     // renamed old classes (dropped below), and the new-version class ids
     // a completed revert must leave no instances of.
-    TransformerRunner Runner(TheVM, Bundle, UpdateLog, NewToLogIndex);
+    TransformerRunner Runner(TheVM, Bundle, UpdateLog);
     if (Opts.CanaryWindow.enabled()) {
       for (const UpdateLogEntry &E : UpdateLog)
         CanaryUndo.captureObject(
@@ -1216,7 +1214,6 @@ void Updater::installSteps(const std::vector<Frame *> &OsrFrames,
                           std::to_string(Result.TransformMs) +
                               " ms (object transforms deferred)");
       LazyLog = std::move(UpdateLog);
-      LazyIndex = std::move(NewToLogIndex);
       LazyCommitPending = true;
       Reg.dropObsoleteStatics();
       return;

@@ -26,9 +26,17 @@ Ref Collector::dsuAllocate(size_t Bytes, const char *What) {
   return Obj;
 }
 
+size_t jvolve::shellLogIndex(const std::vector<UpdateLogEntry> &Log,
+                             Ref Obj) {
+  if (!Obj || !(header(Obj)->Flags & FlagUninitialized))
+    return Log.size();
+  uint64_t I = pendingLogIndex(Obj);
+  return I < Log.size() && Log[I].NewObj == Obj ? static_cast<size_t>(I)
+                                                : Log.size();
+}
+
 Ref Collector::forward(Ref Obj, const DsuRemap *Remap,
                        std::vector<UpdateLogEntry> *UpdateLog,
-                       std::unordered_map<Ref, size_t> *NewToLogIndex,
                        CollectionStats &Stats) {
   if (!Obj)
     return nullptr;
@@ -75,8 +83,7 @@ Ref Collector::forward(Ref Obj, const DsuRemap *Remap,
       H->Flags |= FlagForwarded;
       H->Forward = NewObj;
 
-      if (NewToLogIndex)
-        NewToLogIndex->emplace(NewObj, UpdateLog->size());
+      setPendingLogIndex(NewObj, UpdateLog->size());
       UpdateLog->push_back({OldCopy, NewObj, UpdateLogEntry::State::Pending});
 
       ++Stats.ObjectsRemapped;
@@ -96,10 +103,9 @@ Ref Collector::forward(Ref Obj, const DsuRemap *Remap,
   return Copy;
 }
 
-CollectionStats Collector::collect(
-    const RootEnumerator &EnumerateRoots, const DsuRemap *Remap,
-    std::vector<UpdateLogEntry> *UpdateLog,
-    std::unordered_map<Ref, size_t> *NewToLogIndex) {
+CollectionStats Collector::collect(const RootEnumerator &EnumerateRoots,
+                                   const DsuRemap *Remap,
+                                   std::vector<UpdateLogEntry> *UpdateLog) {
   Stopwatch Timer;
   CollectionStats Stats;
   size_t LiveBeforeBytes = TheHeap.bytesAllocated();
@@ -120,7 +126,7 @@ CollectionStats Collector::collect(
   }
 
   auto Fwd = [&](Ref &Loc) {
-    Loc = forward(Loc, Remap, UpdateLog, NewToLogIndex, Stats);
+    Loc = forward(Loc, Remap, UpdateLog, Stats);
   };
 
   EnumerateRoots(Fwd);
@@ -141,7 +147,7 @@ CollectionStats Collector::collect(
           Ref Elem = getRefAt(Obj, arrayElemOffset(I));
           if (Elem)
             setRefAt(Obj, arrayElemOffset(I),
-                     forward(Elem, Remap, UpdateLog, NewToLogIndex, Stats));
+                     forward(Elem, Remap, UpdateLog, Stats));
         }
       }
     } else {
@@ -150,8 +156,7 @@ CollectionStats Collector::collect(
           continue;
         Ref Val = getRefAt(Obj, F.Offset);
         if (Val)
-          setRefAt(Obj, F.Offset,
-                   forward(Val, Remap, UpdateLog, NewToLogIndex, Stats));
+          setRefAt(Obj, F.Offset, forward(Val, Remap, UpdateLog, Stats));
       }
     }
     return (Bytes + 7) & ~size_t(7);

@@ -12,11 +12,16 @@
 /// an *uninitialized new-version object* (new class, new size) plus a
 /// *duplicate of the old object* in to-space, installs the forwarding
 /// pointer to the new version, and appends the (old copy, new object) pair
-/// to the update log. The old copy is scanned normally, so its fields end
-/// up pointing at to-space (new-version) objects — exactly the state the
-/// object transformer functions expect. After the collection the DSU layer
-/// runs the transformers over the log; clearing the log makes the old
-/// copies unreachable, so the *next* collection reclaims them.
+/// to the update log. The new object's header carries its log index (the
+/// paper caches the old version's address there instead), so the
+/// transformer runtime and the lazy engine find a shell's pending
+/// transform in O(1) without a side table; a later regular collection
+/// copies the header with the shell, so nothing needs reindexing. The old
+/// copy is scanned normally, so its fields end up pointing at to-space
+/// (new-version) objects — exactly the state the object transformer
+/// functions expect. After the collection the DSU layer runs the
+/// transformers over the log; clearing the log makes the old copies
+/// unreachable, so the *next* collection reclaims them.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -69,6 +74,13 @@ struct UpdateLogEntry {
   State St = State::Pending;
 };
 
+/// \returns the position of \p Obj's entry in \p Log when \p Obj is an
+/// uninitialized shell whose header index (pendingLogIndex) is in range
+/// and names an entry for \p Obj itself; otherwise \p Log.size(). The
+/// back-check means a stale or forged header word never selects another
+/// object's entry.
+size_t shellLogIndex(const std::vector<UpdateLogEntry> &Log, Ref Obj);
+
 /// Measurements for one collection.
 struct CollectionStats {
   double GcMs = 0;            ///< wall-clock time of the copying phase
@@ -101,11 +113,9 @@ public:
   /// \param EnumerateRoots visits statics, thread stacks, and VM handles.
   /// \param Remap non-null during a dynamic update.
   /// \param UpdateLog receives (old copy, new object) pairs; required when
-  ///        \p Remap is non-null.
-  /// \param NewToLogIndex receives new-object -> log-index entries so the
-  ///        transformer runtime can force-transform a referenced object in
-  ///        O(1) (the paper caches a pointer to the old version instead of
-  ///        scanning the log).
+  ///        \p Remap is non-null. Each new object's header records its
+  ///        entry's position (setPendingLogIndex) so the transformer
+  ///        runtime can force-transform a referenced object in O(1).
   ///
   /// A DSU collection (\p Remap non-null) throws UpdateError("dsu-gc", ...)
   /// when to-space cannot hold the live heap plus the duplicate old copies,
@@ -114,15 +124,11 @@ public:
   /// throw; to-space exhaustion there is a fatal VM bug.
   CollectionStats collect(const RootEnumerator &EnumerateRoots,
                           const DsuRemap *Remap = nullptr,
-                          std::vector<UpdateLogEntry> *UpdateLog = nullptr,
-                          std::unordered_map<Ref, size_t> *NewToLogIndex =
-                              nullptr);
+                          std::vector<UpdateLogEntry> *UpdateLog = nullptr);
 
 private:
   Ref forward(Ref Obj, const DsuRemap *Remap,
-              std::vector<UpdateLogEntry> *UpdateLog,
-              std::unordered_map<Ref, size_t> *NewToLogIndex,
-              CollectionStats &Stats);
+              std::vector<UpdateLogEntry> *UpdateLog, CollectionStats &Stats);
 
   /// Allocates \p Bytes in to-space for a DSU copy, throwing
   /// UpdateError("dsu-gc") on exhaustion or an injected fault.

@@ -4,7 +4,8 @@
 /// Object layout in the MiniVM heap.
 ///
 /// Every object starts with an ObjectHeader (class id, status flags, and a
-/// word used as the forwarding pointer during copying collection). Scalar
+/// word used as the forwarding pointer during copying collection, or as a
+/// DSU shell's update-log index while the shell is uninitialized). Scalar
 /// instances are followed by 8-byte field slots at the offsets recorded in
 /// RtClass::InstanceFields. Arrays are followed by a 64-bit length and then
 /// 8-byte elements.
@@ -27,7 +28,12 @@ namespace jvolve {
 struct ObjectHeader {
   ClassId Class;
   uint32_t Flags;
-  Ref Forward; ///< forwarding pointer; valid when FlagForwarded is set
+  /// Forwarding pointer when FlagForwarded is set; a DSU shell's
+  /// update-log index while FlagUninitialized is set (pendingLogIndex).
+  /// The uses never meet: a collection writes the forwarding pointer into
+  /// the from-space header only after copying the object, header word
+  /// included, to to-space.
+  Ref Forward;
 };
 
 /// Object status flags.
@@ -57,6 +63,24 @@ inline ObjectHeader *header(Ref Obj) {
 }
 
 inline ClassId classOf(Ref Obj) { return header(Obj)->Class; }
+
+/// DSU: records the update-log entry of new-version shell \p Obj in its
+/// header word (paper §3.4 keeps the link to the pending transform in the
+/// object). A collection copies the header with the shell, so the index
+/// follows a shell that moves before its transformer runs.
+inline void setPendingLogIndex(Ref Obj, uint64_t Index) {
+  static_assert(sizeof(Index) == sizeof(ObjectHeader::Forward));
+  std::memcpy(&header(Obj)->Forward, &Index, sizeof(Index));
+}
+
+/// The index setPendingLogIndex stored. Valid only while \p Obj has
+/// FlagUninitialized set; afterwards the word is stale, so a reader must
+/// bounds-check the index and confirm the entry names \p Obj.
+inline uint64_t pendingLogIndex(Ref Obj) {
+  uint64_t Index;
+  std::memcpy(&Index, &header(Obj)->Forward, sizeof(Index));
+  return Index;
+}
 
 inline int64_t getIntAt(Ref Obj, uint32_t Offset) {
   int64_t V;

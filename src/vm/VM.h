@@ -71,7 +71,8 @@ public:
 
   /// GC integration: pending entries' shells and old copies are roots.
   virtual void visitRoots(const std::function<void(Ref &)> &Visit) = 0;
-  /// Called after every collection: entry addresses moved.
+  /// Called after every collection. Entry addresses moved, but a shell's
+  /// header carries its log index, so there is nothing to reindex.
   virtual void onHeapMoved() = 0;
 };
 
@@ -236,8 +237,7 @@ public:
   /// pinned handles). DSU parameters as in Collector::collect.
   CollectionStats
   collectGarbage(const DsuRemap *Remap = nullptr,
-                 std::vector<UpdateLogEntry> *UpdateLog = nullptr,
-                 std::unordered_map<Ref, size_t> *NewToLogIndex = nullptr);
+                 std::vector<UpdateLogEntry> *UpdateLog = nullptr);
 
   /// Host-held references that must survive (and be updated by) GC.
   std::vector<Ref> &pinnedRoots() { return Pinned; }

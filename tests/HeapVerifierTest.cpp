@@ -9,6 +9,7 @@
 
 #include "TestUtil.h"
 
+#include "dsu/LazyTransform.h"
 #include "dsu/Transformers.h"
 #include "dsu/Updater.h"
 #include "dsu/Upt.h"
@@ -197,6 +198,46 @@ TEST(HeapVerifier, LazyShellsAllowedOnlyWhileEngineVouchesForThem) {
     EXPECT_NE(P[0].find("uninitialized"), std::string::npos);
   }
   header(A)->Flags &= ~(FlagUninitialized | FlagLazyPending);
+}
+
+TEST(HeapVerifier, ForgedPendingFlagIsNotVouchedFor) {
+  VM TheVM(smallConfig());
+  TheVM.loadProgram(pairVersion(false));
+  Ref Forged = makePair(TheVM, 2, nullptr);
+  Ref Shell = makePair(TheVM, 1, Forged);
+  TheVM.registry().cls(TheVM.registry().idOf("H")).Statics[0] =
+      Slot::ofRef(Shell);
+  auto Roots = [&TheVM](const std::function<void(Ref &)> &Visit) {
+    TheVM.visitRoots(Visit);
+  };
+
+  // A live shell at log index 0, as the DSU collection leaves it, and an
+  // initialized object forged to look like it: both flags and a header
+  // word naming the live shell's entry.
+  header(Shell)->Flags |= FlagUninitialized | FlagLazyPending;
+  setPendingLogIndex(Shell, 0);
+  LazyTransformEngine Engine(TheVM, UpdateBundle(), {{Shell, Shell}},
+                             /*OwnsOldCopySpace=*/false, /*DrainBatch=*/1);
+  header(Forged)->Flags |= FlagUninitialized | FlagLazyPending;
+  setPendingLogIndex(Forged, 0);
+
+  // The entry's back-check rejects the forgery: only the shell is pending.
+  EXPECT_TRUE(Engine.isPendingShell(Shell));
+  EXPECT_FALSE(Engine.isPendingShell(Forged));
+
+  HeapVerifier V(TheVM.heap(), TheVM.registry());
+  V.setLazyContext([&Engine](Ref O) { return Engine.isPendingShell(O); },
+                   /*AllowOldCopyReserved=*/true);
+  std::vector<std::string> P = V.verify(Roots);
+  ASSERT_EQ(P.size(), 1u) << P.front();
+  EXPECT_NE(P[0].find("uninitialized outside an update"), std::string::npos)
+      << P[0];
+  EXPECT_NE(P[0].find("+" + std::to_string(Forged -
+                                           TheVM.heap().currentSpaceStart())),
+            std::string::npos)
+      << P[0];
+  header(Shell)->Flags &= ~(FlagUninitialized | FlagLazyPending);
+  header(Forged)->Flags &= ~(FlagUninitialized | FlagLazyPending);
 }
 
 TEST(HeapVerifier, DetectsLazyFlagOnInitializedObject) {

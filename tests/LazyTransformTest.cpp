@@ -20,6 +20,7 @@
 #include "dsu/Updater.h"
 #include "dsu/Upt.h"
 #include "heap/HeapVerifier.h"
+#include "runtime/ObjectModel.h"
 #include "support/FaultInjector.h"
 
 #include <gtest/gtest.h>
@@ -349,16 +350,49 @@ TEST(LazyTransform, RegularGcDuringDrainMigratesOldCopies) {
   ASSERT_NE(Engine, nullptr);
   ASSERT_GT(Engine->pendingCount(), 0u);
   size_t PendingBefore = Engine->pendingCount();
+  uint64_t OnDemandBefore = Engine->onDemandTransforms();
 
   // A regular collection mid-drain: unsettled shells and old copies are
-  // engine roots, so they survive the move; the engine rebuilds its index
-  // and releases the now-empty dedicated old-copy block.
+  // engine roots, so they survive the move; moved shells keep the log
+  // index in their headers, and the engine releases the now-empty
+  // dedicated old-copy block.
   TheVM->collectGarbage();
   EXPECT_EQ(Engine->pendingCount(), PendingBefore);
   EXPECT_FALSE(TheVM->heap().hasOldCopySpace());
   expectHeapHealthy(*TheVM, "after mid-drain collection");
 
-  // On-demand transforms still work against the migrated old copies.
+  // Per object: every unsettled entry's (moved) shell is still pending.
+  size_t Unsettled = 0;
+  for (const UpdateLogEntry &E : Engine->updateLog())
+    if (E.St == UpdateLogEntry::State::Pending) {
+      ++Unsettled;
+      EXPECT_TRUE(Engine->isPendingShell(E.NewObj));
+    }
+  EXPECT_EQ(Unsettled, PendingBefore);
+
+  // Settled entries' refs went stale in the move, so reach every Point
+  // through the array: exactly the shells answer pending, and a barrier
+  // hit fills each from its own old copy (v1 set x = index).
+  ClassRegistry &Reg = TheVM->registry();
+  Ref Arr = Reg.cls(Reg.idOf("ArrHolder")).Statics[0].RefVal;
+  TransformCtx Ctx(*TheVM, nullptr);
+  size_t Shells = 0;
+  for (int64_t I = 0; I < NumPoints; ++I) {
+    SCOPED_TRACE("Point " + std::to_string(I));
+    Ref P = getRefAt(Arr, arrayElemOffset(I));
+    bool Shell = header(P)->Flags & FlagUninitialized;
+    EXPECT_EQ(Engine->isPendingShell(P), Shell);
+    if (Shell) {
+      ++Shells;
+      std::string Err;
+      ASSERT_TRUE(Engine->onBarrierHit(P, &Err)) << Err;
+      EXPECT_FALSE(Engine->isPendingShell(P));
+    }
+    EXPECT_EQ(Ctx.getInt(P, "x"), I);
+    EXPECT_EQ(Ctx.getInt(P, "y"), 0);
+  }
+  EXPECT_EQ(Shells, PendingBefore);
+  EXPECT_EQ(Engine->onDemandTransforms() - OnDemandBefore, PendingBefore);
   EXPECT_EQ(TheVM->callStatic("ArrProbe", "sum", "()I").IntVal, SumV2);
   EXPECT_TRUE(Engine->drained());
 
@@ -366,6 +400,59 @@ TEST(LazyTransform, RegularGcDuringDrainMigratesOldCopies) {
     TheVM->run(200);
   EXPECT_TRUE(Engine->retired());
   expectHeapHealthy(*TheVM, "after retirement");
+}
+
+TEST(LazyTransform, ForgedPendingFlagIsNotAPendingShell) {
+  std::unique_ptr<VM> TheVM = bootLazyFixture();
+
+  Updater U(*TheVM);
+  UpdateOptions Opts;
+  Opts.LazyTransform = true;
+  Opts.LazyDrainBatch = 1;
+  UpdateResult R = scheduleLazyAndResolve(
+      *TheVM, U, Upt::prepare(lazyVersion(false), lazyVersion(true), "v1"),
+      Opts);
+  ASSERT_EQ(R.Status, UpdateStatus::Applied) << R.Message;
+  LazyTransformEngine *Engine = engineOf(*TheVM);
+  ASSERT_NE(Engine, nullptr);
+  ASSERT_GT(Engine->pendingCount(), 0u);
+  const std::vector<UpdateLogEntry> &Log = Engine->updateLog();
+  size_t Live = 0;
+  while (Live < Log.size() && Log[Live].St != UpdateLogEntry::State::Pending)
+    ++Live;
+  ASSERT_LT(Live, Log.size());
+
+  // An initialized v2 Point forged with both flags and a header word
+  // naming a live shell's entry.
+  Ref Forged = TheVM->allocateObject(TheVM->registry().idOf("Point"));
+  Ref Shell = Log[Live].NewObj;
+  header(Forged)->Flags |= FlagUninitialized | FlagLazyPending;
+  setPendingLogIndex(Forged, Live);
+  EXPECT_FALSE(Engine->isPendingShell(Forged));
+  EXPECT_TRUE(Engine->isPendingShell(Shell));
+
+  // Certification in the lazy context reports the forgery, and only it.
+  HeapVerifier V(TheVM->heap(), TheVM->registry());
+  V.setLazyContext([Engine](Ref O) { return Engine->isPendingShell(O); },
+                   /*AllowOldCopyReserved=*/true);
+  std::vector<std::string> Problems =
+      V.verify([&TheVM](const std::function<void(Ref &)> &Visit) {
+        TheVM->visitRoots(Visit);
+      });
+  ASSERT_EQ(Problems.size(), 1u) << Problems.front();
+  EXPECT_NE(Problems[0].find("uninitialized outside an update"),
+            std::string::npos)
+      << Problems[0];
+
+  // A barrier hit on the forgery clears its flags and transforms nothing.
+  size_t Pending = Engine->pendingCount();
+  std::string Err;
+  EXPECT_TRUE(Engine->onBarrierHit(Forged, &Err)) << Err;
+  EXPECT_EQ(header(Forged)->Flags & (FlagUninitialized | FlagLazyPending),
+            0u);
+  EXPECT_EQ(Engine->pendingCount(), Pending);
+  EXPECT_TRUE(Engine->isPendingShell(Shell));
+  expectHeapHealthy(*TheVM, "after the forged barrier hit");
 }
 
 TEST(LazyTransform, FaultedSynthesizedMappingFailsEveryObjectOfItsClass) {

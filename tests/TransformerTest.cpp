@@ -146,6 +146,97 @@ TEST(Transformer, CycleInForceTransformAborts) {
   EXPECT_EQ(getRefAt(B, Next->Offset), A);
 }
 
+TEST(Transformer, HeaderLogIndexNeverSelectsAnotherEntry) {
+  // ensureTransformed finds a shell's log entry through the index in its
+  // header. Only a pending shell may run a transformer: not an object of
+  // an unchanged class, and not an already-transformed object whose
+  // header word still holds a stale, in-range index, even when that index
+  // is rewritten to name another object's pending entry.
+  auto Version = [](bool V2) {
+    ClassSet Set = nodeVersion(V2);
+    ClassBuilder Box("Box");
+    Box.field("n", "I");
+    Set.add(Box.build());
+    ClassBuilder H("Holder");
+    H.staticField("head", "LNode;");
+    H.staticField("box", "LBox;");
+    Set.replace(H.build());
+    return Set;
+  };
+  VM TheVM(smallConfig());
+  TheVM.loadProgram(Version(false));
+  ClassRegistry &Reg = TheVM.registry();
+  ClassId NodeId = Reg.idOf("Node");
+  const RtField *V = Reg.cls(NodeId).findInstanceField("v");
+  const RtField *Next = Reg.cls(NodeId).findInstanceField("next");
+  // head = N1 -> N2 -> N3: the DSU collection logs them in that order, so
+  // N1's transformer runs first with N2 and N3 still pending.
+  Ref Nodes[3];
+  for (int I = 0; I < 3; ++I) {
+    Nodes[I] = TheVM.allocateObject(NodeId);
+    setIntAt(Nodes[I], V->Offset, I + 1);
+  }
+  setRefAt(Nodes[0], Next->Offset, Nodes[1]);
+  setRefAt(Nodes[1], Next->Offset, Nodes[2]);
+  RtClass &Holder = Reg.cls(Reg.idOf("Holder"));
+  Holder.Statics[0] = Slot::ofRef(Nodes[0]);
+  Holder.Statics[1] = Slot::ofRef(TheVM.allocateObject(Reg.idOf("Box")));
+
+  std::vector<int64_t> Calls;
+  UpdateBundle B = Upt::prepare(Version(false), Version(true), "v1");
+  B.ObjectTransformers["Node"] = [&Calls](TransformCtx &Ctx, Ref To,
+                                          Ref From) {
+    int64_t Val = Ctx.getInt(From, "v");
+    Calls.push_back(Val);
+    Ctx.setInt(To, "v", Val);
+    Ctx.setRef(To, "next", Ctx.getRef(From, "next"));
+    if (Val != 1)
+      return;
+    // An unchanged class: never a shell.
+    Ctx.ensureTransformed(Ctx.getStaticRef("Holder", "box"));
+    EXPECT_EQ(Calls.size(), 1u);
+
+    Ref N2 = Ctx.getRef(From, "next");
+    ASSERT_TRUE(header(N2)->Flags & FlagUninitialized);
+    uint64_t N2Index = pendingLogIndex(N2);
+    Ctx.ensureTransformed(N2); // pending: runs N2's transformer
+    ASSERT_EQ(Calls.size(), 2u);
+    // Transformed: the header word is stale but still in range.
+    ASSERT_FALSE(header(N2)->Flags & FlagUninitialized);
+    EXPECT_EQ(pendingLogIndex(N2), N2Index);
+    Ctx.ensureTransformed(N2);
+    EXPECT_EQ(Calls.size(), 2u);
+
+    // Point N2's stale word at N3's pending entry: still not a shell.
+    Ref N3 = Ctx.getRef(N2, "next");
+    ASSERT_TRUE(header(N3)->Flags & FlagUninitialized);
+    setPendingLogIndex(N2, pendingLogIndex(N3));
+    Ctx.ensureTransformed(N2);
+    EXPECT_EQ(Calls.size(), 2u);
+    EXPECT_TRUE(header(N3)->Flags & FlagUninitialized);
+
+    Ctx.ensureTransformed(N3); // pending: runs N3's transformer
+    EXPECT_EQ(Calls.size(), 3u);
+    EXPECT_FALSE(header(N3)->Flags & FlagUninitialized);
+  };
+
+  Updater U(TheVM);
+  UpdateResult R = U.applyNow(std::move(B));
+  ASSERT_EQ(R.Status, UpdateStatus::Applied) << R.Message;
+  // Every node transformed exactly once, the head first.
+  EXPECT_EQ(Calls, (std::vector<int64_t>{1, 2, 3}));
+  Ref Head = Reg.cls(Reg.idOf("Holder")).Statics[0].RefVal;
+  const RtClass &NewNode = Reg.cls(classOf(Head));
+  uint32_t NewV = NewNode.findInstanceField("v")->Offset;
+  uint32_t NewNext = NewNode.findInstanceField("next")->Offset;
+  int64_t Expect = 1;
+  for (Ref N = Head; N; N = getRefAt(N, NewNext), ++Expect) {
+    EXPECT_FALSE(header(N)->Flags & FlagUninitialized);
+    EXPECT_EQ(getIntAt(N, NewV), Expect);
+  }
+  EXPECT_EQ(Expect, 4);
+}
+
 TEST(Transformer, DefaultSkipsRetypedFields) {
   // When a field's type changes, the default transformer leaves the new
   // field at its default value ("the default transformer would have:
