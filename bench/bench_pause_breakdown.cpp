@@ -7,24 +7,20 @@
 /// Therefore the update disruption time is primarily due to the GC and
 /// object transformers."
 ///
-/// Phase timings come from the telemetry registry — the
-/// dsu.update.phase_ms{phase=...} histograms the updater populates — and
-/// every row is cross-checked against the UpdateResult fields the updater
-/// measures with its own per-phase timers, so the two observability paths
-/// must agree. For every applied update of all three application streams,
-/// prints every phase span (snapshot through codeversion), the total, the
-/// unaccounted remainder (total minus the spans), and the time-to-safe-
-/// point in virtual ticks. On the populated update (100 k objects) it also
-/// prints gc, transform and certify in ns per updated object, and the DSU
-/// collection's ns per copied object beside a plain collection of an
-/// identical heap (the DSU extension's cost over Cheney copying). Exits 1 if
-/// the two instruments disagree, if the spans leave more than 5% + 0.5 ms
-/// of a pause unaccounted — a phase the table does not show cannot hide in
-/// the total — or if transform or certify costs more per object than the
-/// collection that copies those objects.
+/// Phase timings are the spans the updater marks against its single pause
+/// clock, read straight from UpdateResult. For every applied update of all
+/// three application streams, prints every phase span (snapshot through
+/// codeversion), the total, the unaccounted remainder (total minus the
+/// spans), and the time-to-safe-point in virtual ticks. The populated
+/// update (100 k objects) runs several times, each on a fresh VM; from
+/// their medians it prints gc, transform and certify in ns per updated
+/// object, and the DSU collection's ns per copied object beside a plain
+/// collection of an identical heap (the DSU extension's cost over Cheney
+/// copying). Exits 1 if the spans leave more than 5% + 0.5 ms of any pause
+/// unaccounted — a phase the table does not show cannot hide in the total
+/// — or if the median transform or certify costs more per object than the
+/// median collection that copies those objects.
 ///
-//===----------------------------------------------------------------------===//
-
 #include "apps/CrossFtpApp.h"
 #include "apps/EmailApp.h"
 #include "apps/Evaluation.h"
@@ -33,74 +29,30 @@
 #include "dsu/Updater.h"
 #include "dsu/Upt.h"
 #include "runtime/ObjectModel.h"
+#include "support/Stats.h"
 #include "support/TablePrinter.h"
 #include "support/Telemetry.h"
 
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <iterator>
 #include <memory>
-#include <string_view>
 
 using namespace jvolve;
 
 namespace {
 
-/// Every phase span the updater marks, in pipeline order. The spans tile
-/// the pause, so their sum must come back to the total.
-constexpr const char *Phases[] = {"snapshot",  "classload", "stack_repair",
-                                  "gc",        "transform", "certify",
-                                  "rollback",  "codeversion"};
-constexpr size_t NumPhases = std::size(Phases);
-
-/// Phase timings of the most recent update, read back from the telemetry
-/// registry (reset before each update so each histogram holds one sample).
-struct PhaseTimings {
-  double PhaseMs[NumPhases] = {};
-  double TotalMs = 0;
-
-  double ms(const char *Phase) const {
-    for (size_t I = 0; I < NumPhases; ++I)
-      if (std::string_view(Phases[I]) == Phase)
-        return PhaseMs[I];
-    return 0;
-  }
-  /// Pause time no phase span claims.
-  double unaccountedMs() const {
-    double Sum = 0;
-    for (double Ms : PhaseMs)
-      Sum += Ms;
-    return TotalMs - Sum;
-  }
-};
-
-PhaseTimings readPhaseTimings() {
-  auto Sum = [](const char *Phase) {
-    const TelHistogram *H =
-        Telemetry::global().findHistogram(metrics::dsuPhaseMs(Phase));
-    return H ? H->sum() : 0.0;
-  };
-  PhaseTimings T;
-  for (size_t I = 0; I < NumPhases; ++I)
-    T.PhaseMs[I] = Sum(Phases[I]);
-  T.TotalMs = Sum("total");
-  return T;
+/// Pause time no phase span claims.
+double unaccountedMs(const UpdateResult &R) {
+  double Sum = 0;
+  for (const PhaseSpan &S : R.Trace.spans())
+    Sum += S.Ms;
+  return R.TotalPauseMs - Sum;
 }
 
-/// The tiling budget: a span missing from the table (or time spent
-/// between marks) shows up as unaccounted pause.
-bool accounted(const PhaseTimings &T) {
-  return std::fabs(T.unaccountedMs()) <= 0.05 * T.TotalMs + 0.5;
-}
-
-/// The telemetry phase spans and the updater's own timers measure the
-/// same pause with different instruments; the span additionally carries
-/// the small bookkeeping between marks, so agreement is approximate.
-bool agree(double TelemetryMs, double ResultMs) {
-  return std::fabs(TelemetryMs - ResultMs) <=
-         0.75 + 0.25 * std::max(TelemetryMs, ResultMs);
-}
+/// Populated updates per run: single-run ns/object figures swing up to 3x
+/// on a shared host, so the per-object gate compares medians.
+constexpr int PopulatedRuns = 5;
 
 /// The populated update, plus a plain collection of an identical heap.
 struct PopulatedRun {
@@ -160,105 +112,112 @@ PopulatedRun populatedUpdate() {
 } // namespace
 
 int main() {
-  Telemetry::global().setEnabled(true);
   std::printf("=== Update pause breakdown (paper §4.1) ===\n");
-  std::printf("(phase timings from the telemetry registry, cross-checked "
-              "against UpdateResult)\n\n");
+  std::printf("(phase spans from UpdateResult, one clock per pause)\n\n");
   TablePrinter TP;
   std::vector<std::string> Header = {"Update"};
-  for (const char *Phase : Phases)
+  for (const char *Phase : metrics::DsuUpdatePhases)
     Header.push_back(std::string(Phase) + "(ms)");
-  for (const char *Col : {"total(ms)", "unaccounted(ms)", "objects",
-                          "ticks-to-safe-point", "sources"})
+  for (const char *Col :
+       {"total(ms)", "unaccounted(ms)", "objects", "ticks-to-safe-point"})
     Header.push_back(Col);
   TP.setHeader(Header);
 
   AppModel Apps[] = {makeJettyApp(), makeEmailApp(), makeCrossFtpApp()};
   double MaxClassLoad = 0;
-  int Rows = 0, Agreements = 0, Tiled = 0;
-  auto AddRow = [&](const std::string &Name, const UpdateResult &U,
-                    const PhaseTimings &T) {
-    bool Agrees = agree(T.ms("classload"), U.ClassLoadMs) &&
-                  agree(T.ms("gc"), U.GcMs) &&
-                  agree(T.ms("transform"), U.TransformMs) &&
-                  agree(T.TotalMs, U.TotalPauseMs);
-    bool Accounted = accounted(T);
+  int Rows = 0, Tiled = 0;
+  auto AddRow = [&](const std::string &Name, const UpdateResult &U) {
+    // The tiling budget: a span missing from the table (or time spent
+    // between marks) shows up as unaccounted pause.
+    bool Accounted =
+        std::fabs(unaccountedMs(U)) <= 0.05 * U.TotalPauseMs + 0.5;
     ++Rows;
-    Agreements += Agrees;
     Tiled += Accounted;
     std::vector<std::string> Row = {Name};
-    for (double Ms : T.PhaseMs)
-      Row.push_back(TablePrinter::fmt(Ms, 3));
-    Row.push_back(TablePrinter::fmt(T.TotalMs, 3));
-    Row.push_back(TablePrinter::fmt(T.unaccountedMs(), 3) +
+    for (size_t P = 0; P < NumUpdatePhases; ++P)
+      Row.push_back(
+          TablePrinter::fmt(U.phaseMs(static_cast<UpdatePhase>(P)), 3));
+    Row.push_back(TablePrinter::fmt(U.TotalPauseMs, 3));
+    Row.push_back(TablePrinter::fmt(unaccountedMs(U), 3) +
                   (Accounted ? "" : " OVER"));
     Row.push_back(std::to_string(U.ObjectsTransformed));
     Row.push_back(std::to_string(U.TicksToSafePoint));
-    Row.push_back(Agrees ? "agree" : "DISAGREE");
     TP.addRow(Row);
-    MaxClassLoad = std::max(MaxClassLoad, T.ms("classload"));
+    MaxClassLoad = std::max(MaxClassLoad, U.phaseMs(UpdatePhase::ClassLoad));
   };
   for (const AppModel &App : Apps) {
     for (size_t V = 1; V < App.numVersions(); ++V) {
-      Telemetry::global().reset();
       ReleaseOutcome R = evaluateRelease(App, V);
       if (R.Result.Status == UpdateStatus::Applied)
-        AddRow(App.name() + " " + R.Version, R.Result, readPhaseTimings());
+        AddRow(App.name() + " " + R.Version, R.Result);
     }
   }
-  Telemetry::global().reset();
-  PopulatedRun Run = populatedUpdate();
-  const UpdateResult &Populated = Run.Result;
-  PhaseTimings PopulatedT = readPhaseTimings();
-  AddRow("microbench (100k objects)", Populated, PopulatedT);
+  std::vector<PopulatedRun> Runs;
+  for (int I = 0; I < PopulatedRuns; ++I) {
+    Runs.push_back(populatedUpdate());
+    AddRow("microbench (100k objects) #" + std::to_string(I + 1),
+           Runs.back().Result);
+  }
+  // Medians over the populated runs, which all update the same objects.
+  auto Median = [&](auto PerRun) {
+    std::vector<double> V;
+    for (const PopulatedRun &Run : Runs)
+      V.push_back(PerRun(Run));
+    return percentile(V, 50);
+  };
+  auto PhaseMs = [&](UpdatePhase P) {
+    return Median([P](auto &Run) { return Run.Result.phaseMs(P); });
+  };
+  const UpdateResult &First = Runs.front().Result;
 
   std::printf("%s\n", TP.render().c_str());
-  std::printf("Cross-check: telemetry phase spans agree with the updater's "
-              "own timers on %d of %d updates\n",
-              Agreements, Rows);
   std::printf("Tiling: phase spans account for the total pause (within 5%% "
               "+ 0.5 ms) on %d of %d updates\n",
               Tiled, Rows);
   std::printf("Shape: max classloading time %.3f ms (paper: usually "
               "< 20 ms)\n",
               MaxClassLoad);
-  double GcTransform = PopulatedT.ms("gc") + PopulatedT.ms("transform");
+  double GcTransform =
+      PhaseMs(UpdatePhase::Gc) + PhaseMs(UpdatePhase::Transform);
+  double ClassLoad = PhaseMs(UpdatePhase::ClassLoad);
   std::printf("Shape: on the populated heap, GC + transformers are "
               "%.0fx the classloading cost: %s (paper: 'disruption time "
               "is primarily due to the GC and object transformers')\n",
-              GcTransform / std::max(PopulatedT.ms("classload"), 1e-6),
-              GcTransform > PopulatedT.ms("classload") ? "yes" : "no");
+              GcTransform / std::max(ClassLoad, 1e-6),
+              GcTransform > ClassLoad ? "yes" : "no");
+  double TotalMs = Median([](auto &Run) { return Run.Result.TotalPauseMs; });
   std::printf("Shape: on the populated heap, certification is %.1f%% of "
               "the pause\n",
-              100.0 * PopulatedT.ms("certify") /
-                  std::max(PopulatedT.TotalMs, 1e-6));
+              100.0 * PhaseMs(UpdatePhase::Certify) / std::max(TotalMs, 1e-6));
 
   // Per-layer budget: transforming or certifying an object must not cost
   // more than the collection that copies it.
-  auto NsPerObject = [&](const char *Phase) {
-    return PopulatedT.ms(Phase) * 1e6 /
-           static_cast<double>(std::max<uint64_t>(
-               Populated.ObjectsTransformed, 1));
-  };
-  double GcNs = NsPerObject("gc"), TransformNs = NsPerObject("transform"),
-         CertifyNs = NsPerObject("certify");
+  double NsPerObject = 1e6 / static_cast<double>(std::max<uint64_t>(
+                                   First.ObjectsTransformed, 1));
+  double GcNs = PhaseMs(UpdatePhase::Gc) * NsPerObject,
+         TransformNs = PhaseMs(UpdatePhase::Transform) * NsPerObject,
+         CertifyNs = PhaseMs(UpdatePhase::Certify) * NsPerObject;
   bool WithinBudget = TransformNs <= GcNs && CertifyNs <= GcNs;
-  std::printf("Per object (populated update, %llu objects): gc %.1f ns, "
-              "transform %.1f ns, certify %.1f ns — transform and certify "
-              "within the gc cost: %s\n",
-              static_cast<unsigned long long>(Populated.ObjectsTransformed),
-              GcNs, TransformNs, CertifyNs, WithinBudget ? "yes" : "NO");
+  std::printf("Per object (populated update, %llu objects, median of %d "
+              "runs): gc %.1f ns, transform %.1f ns, certify %.1f ns — "
+              "transform and certify within the gc cost: %s\n",
+              static_cast<unsigned long long>(First.ObjectsTransformed),
+              PopulatedRuns, GcNs, TransformNs, CertifyNs,
+              WithinBudget ? "yes" : "NO");
   // The DSU collection copies each updated object twice (new shell plus
   // old duplicate); per copied object it should stay near plain copying.
   auto NsPerCopied = [](const CollectionStats &St) {
     return St.GcMs * 1e6 /
            static_cast<double>(std::max<uint64_t>(St.ObjectsCopied, 1));
   };
-  std::printf("Per copied object (populated heap): DSU collection %.1f ns "
-              "(%llu copied), plain collection %.1f ns (%llu copied)\n",
-              NsPerCopied(Populated.Gc),
-              static_cast<unsigned long long>(Populated.Gc.ObjectsCopied),
-              NsPerCopied(Run.PlainGc),
-              static_cast<unsigned long long>(Run.PlainGc.ObjectsCopied));
-  return Agreements == Rows && Tiled == Rows && WithinBudget ? 0 : 1;
+  std::printf(
+      "Per copied object (populated heap, median of %d runs): DSU "
+      "collection %.1f ns (%llu copied), plain collection %.1f ns (%llu "
+      "copied)\n",
+      PopulatedRuns,
+      Median([&](auto &Run) { return NsPerCopied(Run.Result.Gc); }),
+      static_cast<unsigned long long>(First.Gc.ObjectsCopied),
+      Median([&](auto &Run) { return NsPerCopied(Run.PlainGc); }),
+      static_cast<unsigned long long>(Runs.front().PlainGc.ObjectsCopied));
+  return Tiled == Rows && WithinBudget ? 0 : 1;
 }

@@ -72,8 +72,7 @@ std::unique_ptr<VM> populate(int Count) {
   return TheVM;
 }
 
-double applyOnce(int Count, bool Certify, bool FailLast, double *CertMs,
-                 double *RollbackMs) {
+UpdateResult applyOnce(int Count, bool Certify, bool FailLast) {
   std::unique_ptr<VM> TheVM = populate(Count);
   if (FailLast)
     TheVM->faults().arm(FaultInjector::Site::TransformerNthObject, /*Fire=*/1,
@@ -90,11 +89,7 @@ double applyOnce(int Count, bool Certify, bool FailLast, double *CertMs,
                  updateStatusName(R.Status), R.Message.c_str());
     std::exit(1);
   }
-  if (CertMs)
-    *CertMs = R.CertifyMs;
-  if (RollbackMs)
-    *RollbackMs = R.RollbackMs;
-  return R.TotalPauseMs;
+  return R;
 }
 
 } // namespace
@@ -117,13 +112,13 @@ int main() {
       break;
     std::vector<double> Apply, ApplyCert, Cert, RollTotal, Undo;
     for (int T = 0; T < Trials; ++T) {
-      Apply.push_back(applyOnce(Count, false, false, nullptr, nullptr));
-      double CertMs = 0;
-      ApplyCert.push_back(applyOnce(Count, true, false, &CertMs, nullptr));
-      Cert.push_back(CertMs);
-      double RollbackMs = 0;
-      RollTotal.push_back(applyOnce(Count, true, true, nullptr, &RollbackMs));
-      Undo.push_back(RollbackMs);
+      Apply.push_back(applyOnce(Count, false, false).TotalPauseMs);
+      UpdateResult Certified = applyOnce(Count, true, false);
+      ApplyCert.push_back(Certified.TotalPauseMs);
+      Cert.push_back(Certified.phaseMs(UpdatePhase::Certify));
+      UpdateResult Undone = applyOnce(Count, true, true);
+      RollTotal.push_back(Undone.TotalPauseMs);
+      Undo.push_back(Undone.phaseMs(UpdatePhase::Rollback));
     }
     TP.addRow({std::to_string(Count),
                TablePrinter::fmt(summarizeQuartiles(Apply).Median, 2),

@@ -52,8 +52,9 @@ int main() {
   std::printf("  %s: pause %.2f ms (classload %.2f, GC %.2f, "
               "transformers %.2f); %d barrier(s), %d safe-point "
               "attempt(s)\n",
-              updateStatusName(R.Status), R.TotalPauseMs, R.ClassLoadMs,
-              R.GcMs, R.TransformMs, R.ReturnBarriersInstalled,
+              updateStatusName(R.Status), R.TotalPauseMs,
+              R.phaseMs(UpdatePhase::ClassLoad), R.phaseMs(UpdatePhase::Gc),
+              R.phaseMs(UpdatePhase::Transform), R.ReturnBarriersInstalled,
               R.SafePointAttempts);
   if (R.Status != UpdateStatus::Applied)
     return 1;

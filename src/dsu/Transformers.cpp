@@ -2,7 +2,6 @@
 
 #include "runtime/ObjectModel.h"
 #include "support/Error.h"
-#include "support/Stopwatch.h"
 
 using namespace jvolve;
 
@@ -255,8 +254,7 @@ void TransformerRunner::ensureTransformed(Ref NewObj) {
     transformAt(I);
 }
 
-double TransformerRunner::runClassTransformers() {
-  Stopwatch Timer;
+void TransformerRunner::runClassTransformers() {
   // Class transformers first (paper §3.4), static plans for the rest.
   TransformCtx Ctx(TheVM, this);
   for (const std::string &Name : Bundle.Spec.ClassUpdates) {
@@ -266,19 +264,14 @@ double TransformerRunner::runClassTransformers() {
     else
       defaultClassTransform(Name);
   }
-  return Timer.elapsedMs();
 }
 
-double TransformerRunner::runAll() {
+void TransformerRunner::runAll() {
   // The updater holds setTransformationInProgress across the whole install
   // transaction (snapshot to commit), so it is already set here.
-  Stopwatch Timer;
-
   runClassTransformers();
 
   // Then object transformers over the whole update log.
   for (size_t I = 0; I < UpdateLog.size(); ++I)
     transformAt(I);
-
-  return Timer.elapsedMs();
 }

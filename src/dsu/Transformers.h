@@ -123,13 +123,12 @@ public:
                     std::vector<UpdateLogEntry> &UpdateLog);
 
   /// Executes all class transformers, then all object transformers.
-  /// \returns wall-clock milliseconds spent.
-  double runAll();
+  void runAll();
 
   /// Executes only the class transformers (statics). The lazy engine runs
   /// these eagerly at commit — statics have no read barrier — and defers
-  /// the per-object work. \returns wall-clock milliseconds spent.
-  double runClassTransformers();
+  /// the per-object work.
+  void runClassTransformers();
 
   /// Transforms the log entry at \p Index (cycle-safe; no-op when already
   /// done or failed). The lazy engine's drain loop uses this.

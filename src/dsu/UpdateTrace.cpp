@@ -3,7 +3,13 @@
 #include "support/Error.h"
 #include "support/Telemetry.h"
 
+#include <cstdio>
+#include <iterator>
+
 using namespace jvolve;
+
+static_assert(std::size(metrics::DsuUpdatePhases) == NumUpdatePhases,
+              "one name per UpdatePhase");
 
 void UpdateTrace::forwardToSink(UpdateEventKind Kind, uint64_t Tick,
                                 int64_t Value, const std::string &Detail) {
@@ -12,6 +18,31 @@ void UpdateTrace::forwardToSink(UpdateEventKind Kind, uint64_t Tick,
     return;
   Tel.emit({"dsu.update.event", updateEventKindName(Kind), Tick, Tick, 0,
             Value, Detail});
+}
+
+void UpdateTrace::span(PhaseSpan S, uint64_t Tick) {
+  if (Telemetry::isEnabled()) {
+    Telemetry &Tel = Telemetry::global();
+    const char *Name = updatePhaseName(S.Phase);
+    Tel.histogram(metrics::dsuPhaseMs(Name)).record(S.Ms);
+    // Virtual time stands still while the world is stopped, so the span's
+    // tick interval collapses; Ms carries the wall-clock duration.
+    Tel.emit({"dsu.update.phase", Name, Tick, Tick, S.Ms,
+              static_cast<int64_t>(S.Objects), S.Detail});
+  }
+  Spans.push_back(std::move(S));
+}
+
+void UpdateTrace::total(double Ms, uint64_t Tick, const char *Outcome) {
+  if (!Telemetry::isEnabled())
+    return;
+  Telemetry &Tel = Telemetry::global();
+  Tel.histogram(metrics::DsuTotalPauseMs).record(Ms);
+  Tel.emit({"dsu.update.phase", "total", Tick, Tick, Ms, 0, Outcome});
+}
+
+const char *jvolve::updatePhaseName(UpdatePhase P) {
+  return metrics::DsuUpdatePhases[static_cast<size_t>(P)];
 }
 
 const char *jvolve::updateEventKindName(UpdateEventKind K) {
@@ -65,9 +96,15 @@ std::string UpdateEvent::str() const {
 
 std::string UpdateTrace::str() const {
   std::string Out;
-  for (const UpdateEvent &E : Events) {
-    Out += E.str();
-    Out += '\n';
+  for (const UpdateEvent &E : Events)
+    Out += E.str() + '\n';
+  for (const PhaseSpan &S : Spans) {
+    char Line[96];
+    std::snprintf(Line, sizeof(Line), "phase %s: %.3f ms, n=%llu, %llu bytes",
+                  updatePhaseName(S.Phase), S.Ms,
+                  static_cast<unsigned long long>(S.Objects),
+                  static_cast<unsigned long long>(S.Bytes));
+    Out += Line + (S.Detail.empty() ? "" : " (" + S.Detail + ")") + '\n';
   }
   return Out;
 }

@@ -8,9 +8,10 @@
 /// production DSU VM needs that narrative as data. The updater appends an
 /// event per protocol step — schedule, safe-point attempt, frame
 /// classification counts, barrier arm/fire, OSR, active-frame remap,
-/// install phases with timings, transformation totals, and the final
-/// outcome — and exposes the trace in UpdateResult for logging, tests,
-/// and the pause-breakdown bench.
+/// install phases, transformation totals, and the final outcome — and one
+/// span per pause phase, timed against the single pause clock. The trace
+/// rides in UpdateResult for logging, tests, and the pause benches, and it
+/// is the one place update records enter the telemetry pipeline.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -60,7 +61,42 @@ enum class UpdateEventKind : uint8_t {
   CodeVersionReverted,  ///< chains popped to the prior active versions
 };
 
+/// Total number of UpdateEventKind values (for exhaustive round-trip tests).
+inline constexpr size_t NumUpdateEventKinds =
+    static_cast<size_t>(UpdateEventKind::CodeVersionReverted) + 1;
+
 const char *updateEventKindName(UpdateEventKind K);
+
+/// Phases of the update pause, in pipeline order (the order of
+/// metrics::DsuUpdatePhases, which holds their names).
+enum class UpdatePhase : uint8_t {
+  Snapshot,    ///< registry, heap and root snapshots taken
+  ClassLoad,   ///< old versions renamed, new classes loaded, code invalidated
+  StackRepair, ///< OSR and active-method remaps
+  Gc,          ///< DSU collection
+  Transform,   ///< class and object transformers
+  Rollback,    ///< snapshots restored after a failed install
+  CodeVersion, ///< versioned body-only commit (no safe point, no collection)
+  Certify,     ///< post-update heap and registry certification
+};
+
+inline constexpr size_t NumUpdatePhases =
+    static_cast<size_t>(UpdatePhase::Certify) + 1;
+
+const char *updatePhaseName(UpdatePhase P);
+
+/// One phase of an update pause. Consecutive spans tile the pause: each
+/// runs from the previous mark to its own on one clock.
+struct PhaseSpan {
+  UpdatePhase Phase = UpdatePhase::Snapshot;
+  double Ms = 0;        ///< wall-clock duration
+  uint64_t Objects = 0; ///< units handled: classes renamed (classload),
+                        ///< frames repaired (stack_repair), objects
+                        ///< remapped (gc), transformed (transform) or
+                        ///< verified (certify), method bodies (codeversion)
+  uint64_t Bytes = 0;   ///< heap bytes copied (gc) or walked (certify)
+  std::string Detail;
+};
 
 /// One trace event.
 struct UpdateEvent {
@@ -88,7 +124,17 @@ public:
     Events.push_back({Kind, Tick, Value, std::move(Detail)});
   }
 
+  /// Appends a pause-phase span. While telemetry is enabled it also
+  /// records the span's `dsu.update.phase_ms{phase=...}` histogram sample
+  /// and emits it as a "dsu.update.phase" span event (value = Objects).
+  void span(PhaseSpan S, uint64_t Tick);
+
+  /// Records the whole pause (the clock the spans tile) once its outcome
+  /// is known: the `phase=total` histogram and span, detail \p Outcome.
+  static void total(double Ms, uint64_t Tick, const char *Outcome);
+
   const std::vector<UpdateEvent> &events() const { return Events; }
+  const std::vector<PhaseSpan> &spans() const { return Spans; }
 
   /// Number of events of kind \p K.
   int count(UpdateEventKind K) const {
@@ -98,16 +144,15 @@ public:
     return N;
   }
 
-  /// Renders the trace, one event per line.
+  /// Renders the trace: one event per line, then one line per span.
   std::string str() const;
-
-  void clear() { Events.clear(); }
 
 private:
   static void forwardToSink(UpdateEventKind Kind, uint64_t Tick,
                             int64_t Value, const std::string &Detail);
 
   std::vector<UpdateEvent> Events;
+  std::vector<PhaseSpan> Spans;
 };
 
 } // namespace jvolve

@@ -27,26 +27,20 @@ static void bumpDsuCounter(const char *Name) {
     Telemetry::global().counter(Name).inc();
 }
 
-void Updater::markPhase(const std::string &Phase, int64_t Value,
-                        const std::string &Detail) {
+void Updater::markPhase(UpdatePhase Phase, uint64_t Objects, uint64_t Bytes,
+                        std::string Detail) {
   double Now = PhaseClock.elapsedMs();
   double Ms = Now - LastPhaseMark;
   LastPhaseMark = Now;
-  // Probed before the enablement check so probe indices are stable whether
-  // or not telemetry is live; a fire only bites when a streamer exists.
-  // The stalled writer must degrade to counted drops — producers (and this
-  // VM thread) never block on it.
+  // Probed whether or not telemetry is live, so probe indices are stable;
+  // a fire only bites when a streamer exists. The stalled writer must
+  // degrade to counted drops — producers (and this VM thread) never block
+  // on it.
   if (TheVM.faults().probe(FaultInjector::Site::TelemetryWriterStall) &&
       Telemetry::isEnabled() && Telemetry::global().hasStreamer())
     Telemetry::global().streamer().injectWriterStall(3);
-  if (!Telemetry::isEnabled())
-    return;
-  Telemetry &Tel = Telemetry::global();
-  Tel.histogram(metrics::dsuPhaseMs(Phase)).record(Ms);
-  // Virtual time stands still while the world is stopped, so the span's
-  // tick interval collapses; Ms carries the wall-clock duration.
-  uint64_t Tick = TheVM.scheduler().ticks();
-  Tel.emit({"dsu.update.phase", Phase, Tick, Tick, Ms, Value, Detail});
+  Result.Trace.span({Phase, Ms, Objects, Bytes, std::move(Detail)},
+                    TheVM.scheduler().ticks());
 }
 
 const char *jvolve::updateStatusName(UpdateStatus S) {
@@ -741,7 +735,6 @@ void Updater::clearForwardingMarks() {
 }
 
 void Updater::certify() {
-  Stopwatch Timer;
   HeapVerifier Verifier(TheVM.heap(), TheVM.registry());
   // While a lazy engine drains, untransformed shells and the reserved
   // old-copy block are legitimate; once it reports drained they are not.
@@ -762,7 +755,6 @@ void Updater::certify() {
       });
   for (std::string &P : TheVM.registry().checkConsistency())
     Problems.push_back("registry: " + P);
-  Result.CertifyMs = Timer.elapsedMs();
   Result.Certified = Problems.empty();
   Result.CertificationProblems = Problems;
   Result.Trace.record(UpdateEventKind::Certified, TheVM.scheduler().ticks(),
@@ -772,24 +764,14 @@ void Updater::certify() {
   // Mark after the trace record: its sink write is real wall-clock that
   // must land inside the certify span, not after the last mark where it
   // would be unaccounted for in the span/total tiling.
-  markPhase("certify", static_cast<int64_t>(Problems.size()));
-}
-
-/// Records the total-pause histogram sample and span once the update's
-/// wall-clock outcome is known (applied or rolled back).
-static void recordTotalPause(VM &TheVM, double TotalMs, const char *Outcome) {
-  if (!Telemetry::isEnabled())
-    return;
-  Telemetry &Tel = Telemetry::global();
-  Tel.histogram(metrics::DsuTotalPauseMs).record(TotalMs);
-  uint64_t Tick = TheVM.scheduler().ticks();
-  Tel.emit({"dsu.update.phase", "total", Tick, Tick, TotalMs, 0, Outcome});
+  markPhase(UpdatePhase::Certify, Verifier.objectsVerified(),
+            TheVM.heap().bytesAllocated());
 }
 
 void Updater::install(const std::vector<Frame *> &OsrFrames,
                       const std::vector<MappedFrame> &MappedFrames) {
   // One clock serves both the reported total and the phase spans, so the
-  // spans tile the pause instead of drifting against a second timer.
+  // spans tile the pause.
   PhaseClock.reset();
   LastPhaseMark = 0;
 
@@ -801,7 +783,7 @@ void Updater::install(const std::vector<Frame *> &OsrFrames,
   Heap::TxSnapshot HeapSnap = TheVM.heap().txSnapshot();
   RootSnapshot Roots = snapshotRoots();
   TheVM.setTransformationInProgress(true);
-  markPhase("snapshot");
+  markPhase(UpdatePhase::Snapshot);
 
   try {
     installSteps(OsrFrames, MappedFrames);
@@ -829,7 +811,8 @@ void Updater::install(const std::vector<Frame *> &OsrFrames,
       TheVM.resumeAfterYield();
     }
     Result.TotalPauseMs = PhaseClock.elapsedMs();
-    recordTotalPause(TheVM, Result.TotalPauseMs, "rolled-back");
+    UpdateTrace::total(Result.TotalPauseMs, TheVM.scheduler().ticks(),
+                       "rolled-back");
     return;
   }
 
@@ -864,7 +847,8 @@ void Updater::install(const std::vector<Frame *> &OsrFrames,
                       0,
                       std::to_string(Result.TotalPauseMs) + " ms total pause");
   bumpDsuCounter(metrics::DsuUpdatesApplied);
-  recordTotalPause(TheVM, Result.TotalPauseMs, "applied");
+  UpdateTrace::total(Result.TotalPauseMs, TheVM.scheduler().ticks(),
+                     "applied");
   if (Opts.CanaryWindow.enabled())
     armCanary();
   finish(UpdateStatus::Applied, "update applied");
@@ -883,9 +867,8 @@ void Updater::installVersioned() {
   std::string Why;
   bool Ok = EcUpdater(TheVM).apply(Bundle.NewProgram, Bundle.Spec, &Why,
                                    &Result.Trace, Bundle.VersionTag);
-  markPhase("codeversion",
-            static_cast<int64_t>(Bundle.Spec.MethodBodyUpdates.size()),
-            Ok ? "active-version switch committed" : Why);
+  markPhase(UpdatePhase::CodeVersion, Bundle.Spec.MethodBodyUpdates.size(),
+            0, Ok ? "active-version switch committed" : Why);
 
   // A versioned commit never touches the heap — no allocation, no moved
   // objects, no transformed fields — so certification checks the structure
@@ -894,9 +877,7 @@ void Updater::installVersioned() {
   // it; that walk is precisely the heap-scaling pause component a
   // body-only update exists to avoid.
   auto CertifyRegistry = [&] {
-    Stopwatch Timer;
     std::vector<std::string> Problems = TheVM.registry().checkConsistency();
-    Result.CertifyMs = Timer.elapsedMs();
     Result.Certified = Problems.empty();
     Result.CertificationProblems = Problems;
     Result.Trace.record(UpdateEventKind::Certified,
@@ -905,7 +886,7 @@ void Updater::installVersioned() {
                         Problems.empty()
                             ? "registry consistent (heap untouched)"
                             : Problems.front());
-    markPhase("certify", static_cast<int64_t>(Problems.size()));
+    markPhase(UpdatePhase::Certify);
   };
 
   if (!Ok) {
@@ -920,7 +901,8 @@ void Updater::installVersioned() {
     Result.TotalPauseMs = PhaseClock.elapsedMs();
     Result.Trace.record(UpdateEventKind::RolledBack,
                         TheVM.scheduler().ticks(), 0, Why);
-    recordTotalPause(TheVM, Result.TotalPauseMs, "rolled-back");
+    UpdateTrace::total(Result.TotalPauseMs, TheVM.scheduler().ticks(),
+                       "rolled-back");
     finish(UpdateStatus::RolledBack, "update rolled back (" + Why + ")");
     return;
   }
@@ -936,7 +918,8 @@ void Updater::installVersioned() {
                       std::to_string(Result.TotalPauseMs) +
                           " ms total pause (versioned, no safe point)");
   bumpDsuCounter(metrics::DsuUpdatesApplied);
-  recordTotalPause(TheVM, Result.TotalPauseMs, "applied");
+  UpdateTrace::total(Result.TotalPauseMs, TheVM.scheduler().ticks(),
+                     "applied");
   if (Opts.CanaryWindow.enabled())
     armCanary();
   finish(UpdateStatus::Applied, "update applied (code-versioned)");
@@ -945,7 +928,6 @@ void Updater::installVersioned() {
 void Updater::rollback(const ClassRegistry::RegistrySnapshot &RegSnap,
                        const Heap::TxSnapshot &HeapSnap,
                        const RootSnapshot &Roots, const UpdateError &E) {
-  Stopwatch Timer;
   Result.Trace.record(UpdateEventKind::InstallFailed,
                       TheVM.scheduler().ticks(), 0, E.str());
   // A lazy handoff staged before the failure is void: the log refers to
@@ -970,8 +952,7 @@ void Updater::rollback(const ClassRegistry::RegistrySnapshot &RegSnap,
     for (Frame &F : T->Frames)
       F.ReturnBarrier = false;
   TheVM.setTransformationInProgress(false);
-  Result.RollbackMs = Timer.elapsedMs();
-  markPhase("rollback", 0, E.str());
+  markPhase(UpdatePhase::Rollback, 0, 0, E.str());
   bumpDsuCounter(metrics::DsuUpdatesRolledBack);
 
   if (Opts.CertifyAfterUpdate)
@@ -989,7 +970,6 @@ void Updater::rollback(const ClassRegistry::RegistrySnapshot &RegSnap,
 
 void Updater::installSteps(const std::vector<Frame *> &OsrFrames,
                            const std::vector<MappedFrame> &MappedFrames) {
-  Stopwatch PhaseTimer;
   ClassRegistry &Reg = TheVM.registry();
 
   // --- Step 4a: rename old versions of updated and deleted classes. ------
@@ -1063,12 +1043,10 @@ void Updater::installSteps(const std::vector<Frame *> &OsrFrames,
       bumpDsuCounter(metrics::DsuCodeInvalidated);
     }
   }
-  Result.ClassLoadMs = PhaseTimer.elapsedMs();
-  markPhase("classload", static_cast<int64_t>(OldIdToName.size()));
+  markPhase(UpdatePhase::ClassLoad, OldIdToName.size());
   Result.Trace.record(UpdateEventKind::ClassesInstalled,
                       TheVM.scheduler().ticks(),
-                      static_cast<int64_t>(OldIdToName.size()),
-                      std::to_string(Result.ClassLoadMs) + " ms");
+                      static_cast<int64_t>(OldIdToName.size()));
 
   // --- Step 4e: on-stack replacement of base-compiled category-(2)
   // frames, now that the new metadata is installed (paper §3.2). ----------
@@ -1155,8 +1133,8 @@ void Updater::installSteps(const std::vector<Frame *> &OsrFrames,
                         TheVM.scheduler().ticks(), 0,
                         Reg.method(NewId).qualifiedName());
   }
-  markPhase("stack_repair",
-            static_cast<int64_t>(OsrFrames.size() + MappedFrames.size()));
+  markPhase(UpdatePhase::StackRepair,
+            OsrFrames.size() + MappedFrames.size());
 
   // --- Step 5: DSU collection + transformers (§3.4). ---------------------
   DsuRemap Remap;
@@ -1180,12 +1158,11 @@ void Updater::installSteps(const std::vector<Frame *> &OsrFrames,
     Remap.LazyShells = Opts.LazyTransform;
     std::vector<UpdateLogEntry> UpdateLog;
     Result.Gc = TheVM.collectGarbage(&Remap, &UpdateLog);
-    Result.GcMs = Result.Gc.GcMs;
-    markPhase("gc", static_cast<int64_t>(Result.Gc.ObjectsRemapped));
+    markPhase(UpdatePhase::Gc, Result.Gc.ObjectsRemapped,
+              Result.Gc.BytesCopied);
     Result.Trace.record(UpdateEventKind::GcCompleted,
                         TheVM.scheduler().ticks(),
-                        static_cast<int64_t>(Result.Gc.ObjectsRemapped),
-                        std::to_string(Result.GcMs) + " ms");
+                        static_cast<int64_t>(Result.Gc.ObjectsRemapped));
 
     // Canary staging happens while both versions are still live: removed
     // fields read out of the old copies, removed statics out of the
@@ -1204,31 +1181,29 @@ void Updater::installSteps(const std::vector<Frame *> &OsrFrames,
       // every per-object transform is deferred to the engine. The log is
       // handed to the commit point, and the old-copy block stays reserved
       // until the engine retires the barrier.
-      Result.TransformMs = Runner.runClassTransformers();
+      Runner.runClassTransformers();
       Result.ObjectsTransformed = Runner.objectsTransformed();
-      markPhase("transform", static_cast<int64_t>(Result.ObjectsTransformed),
+      markPhase(UpdatePhase::Transform, Result.ObjectsTransformed, 0,
                 "class transformers only (lazy)");
       Result.Trace.record(UpdateEventKind::Transformed,
                           TheVM.scheduler().ticks(),
                           static_cast<int64_t>(Result.ObjectsTransformed),
-                          std::to_string(Result.TransformMs) +
-                              " ms (object transforms deferred)");
+                          "object transforms deferred");
       LazyLog = std::move(UpdateLog);
       LazyCommitPending = true;
       Reg.dropObsoleteStatics();
       return;
     }
-    Result.TransformMs = Runner.runAll();
+    Runner.runAll();
     Result.ObjectsTransformed = Runner.objectsTransformed();
-    markPhase("transform", static_cast<int64_t>(Result.ObjectsTransformed));
+    markPhase(UpdatePhase::Transform, Result.ObjectsTransformed);
     if (Telemetry::isEnabled())
       Telemetry::global()
           .counter(metrics::DsuObjectsTransformed)
           .add(Result.ObjectsTransformed);
     Result.Trace.record(UpdateEventKind::Transformed,
                         TheVM.scheduler().ticks(),
-                        static_cast<int64_t>(Result.ObjectsTransformed),
-                        std::to_string(Result.TransformMs) + " ms");
+                        static_cast<int64_t>(Result.ObjectsTransformed));
 
     // Dropping the log makes the duplicate old versions unreachable: in
     // the default configuration the next collection reclaims them, while

@@ -158,10 +158,9 @@ struct UpdateResult {
   int ActiveFramesRemapped = 0;
   uint64_t TicksToSafePoint = 0;
 
-  double ClassLoadMs = 0;  ///< rename + metadata install + invalidation
-  double GcMs = 0;         ///< DSU collection (copying phase)
-  double TransformMs = 0;  ///< running class + object transformers
-  double TotalPauseMs = 0; ///< full disruption: install + GC + transform
+  /// Full disruption, on the clock whose marks delimit the phase spans
+  /// in Trace: the spans tile it up to the bookkeeping after the last mark.
+  double TotalPauseMs = 0;
   uint64_t ObjectsTransformed = 0;
   CollectionStats Gc;
 
@@ -169,11 +168,8 @@ struct UpdateResult {
   /// Certified stays false when certification was skipped via the options.
   bool Certified = false;
   std::vector<std::string> CertificationProblems;
-  double CertifyMs = 0;
 
-  /// Transaction bookkeeping: time spent restoring the snapshot after a
-  /// failed install, and safe-point deadline extensions consumed.
-  double RollbackMs = 0;
+  /// Safe-point deadline extensions consumed.
   int RetriesUsed = 0;
 
   /// Watchdog findings from the last deadline expiry (empty when the
@@ -218,8 +214,18 @@ struct UpdateResult {
   bool CodeVersioned = false;
   int CodeVersionedMethods = 0;
 
-  /// Structured event log of the whole update lifecycle.
+  /// Structured event log of the whole update lifecycle, including one
+  /// span per pause phase.
   UpdateTrace Trace;
+
+  /// Milliseconds the pause spent in phase \p P (0 when it never ran).
+  double phaseMs(UpdatePhase P) const {
+    double Ms = 0;
+    for (const PhaseSpan &S : Trace.spans())
+      if (S.Phase == P)
+        Ms += S.Ms;
+    return Ms;
+  }
 };
 
 /// Applies dynamic updates to one VM.
@@ -372,12 +378,12 @@ private:
   /// outcome in Result and the trace.
   void certify();
 
-  /// Records the telemetry span for the phase ending now. Phases are
+  /// Appends the span of the phase ending now to Result.Trace. Phases are
   /// delimited by consecutive marks against one clock (PhaseClock, started
-  /// at install() entry), so the emitted spans tile the pause: their sum
-  /// matches TotalPauseMs up to the bookkeeping after the last mark.
-  void markPhase(const std::string &Phase, int64_t Value = 0,
-                 const std::string &Detail = "");
+  /// at install() entry), so the spans tile the pause: their sum matches
+  /// TotalPauseMs up to the bookkeeping after the last mark.
+  void markPhase(UpdatePhase Phase, uint64_t Objects = 0, uint64_t Bytes = 0,
+                 std::string Detail = "");
 
   Stopwatch PhaseClock;
   double LastPhaseMark = 0;

@@ -195,7 +195,6 @@ CollectionStats Collector::collect(const RootEnumerator &EnumerateRoots,
                   static_cast<double>(LiveBeforeBytes));
     if (Remap) {
       Tel.counter(metrics::GcDsuCollections).inc();
-      Tel.histogram(metrics::GcDsuPauseMs).record(Stats.GcMs);
       Tel.counter(metrics::GcDsuBytesCopied).add(Stats.BytesCopied);
       Tel.counter(metrics::GcDsuObjectsRemapped).add(Stats.ObjectsRemapped);
     }

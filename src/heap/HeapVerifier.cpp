@@ -47,6 +47,7 @@ std::vector<std::string> HeapVerifier::verify(
   const size_t Used = TheHeap.bytesAllocated();
   std::vector<uint64_t> Starts((Used / 8 + 63) / 64);
   size_t Offset = 0;
+  NumObjects = 0;
   while (Offset < Used) {
     Ref Obj = Base + Offset;
     ObjectHeader *H = header(Obj);
@@ -87,6 +88,7 @@ std::vector<std::string> HeapVerifier::verify(
     }
     Starts[Offset >> 9] |= uint64_t(1) << ((Offset >> 3) & 63);
     Offset += (Bytes + 7) & ~size_t(7);
+    ++NumObjects;
   }
 
   // Null, or the start of an object pass 1 walked. A pointer off the

@@ -72,6 +72,8 @@ public:
   /// Non-array objects whose field checks the class focus skipped during
   /// the last verify() run.
   size_t objectsSkipped() const { return NumSkipped; }
+  /// Objects the last verify() run walked.
+  size_t objectsVerified() const { return NumObjects; }
 
   /// Verifies the linear heap layout and every object's fields.
   /// \p EnumerateRoots visits every root reference (same contract as the
@@ -88,6 +90,7 @@ private:
   std::set<std::string> ClassFocus;
   bool HasClassFocus = false;
   size_t NumSkipped = 0;
+  size_t NumObjects = 0;
 };
 
 } // namespace jvolve

@@ -346,11 +346,12 @@ public:
     const UpdateResult &R = Ctx.Result;
     if (R.TotalPauseMs <= 0)
       return; // no install began; nothing to tile
-    double Sum =
-        R.ClassLoadMs + R.GcMs + R.TransformMs + R.CertifyMs + R.RollbackMs;
-    // Generous slack: the phases are measured by dedicated stopwatches
-    // while the total uses one clock; granularity skew is not a violation.
-    if (Sum > R.TotalPauseMs + 5.0)
+    double Sum = 0;
+    for (const PhaseSpan &S : R.Trace.spans())
+      Sum += S.Ms;
+    // The spans and the total share one clock, so the spans can only fall
+    // short of the total; the slack absorbs floating-point rounding.
+    if (Sum > R.TotalPauseMs + 1e-3)
       Out.push_back(std::string(name()) + ": phase spans (" +
                     std::to_string(Sum) + " ms) exceed TotalPauseMs (" +
                     std::to_string(R.TotalPauseMs) + " ms)");

@@ -154,7 +154,7 @@ public:
 ///                       cleanly, and a closed canary window ended in a
 ///                       defined terminal state
 ///   phase-tiling        the per-phase wall-clock spans fit inside
-///                       TotalPauseMs (small slack for timer granularity)
+///                       TotalPauseMs (1 µs slack for rounding)
 ///   residual-pending    no lazy engine still holding pending shells; a
 ///                       reverted canary left zero residual new-version
 ///                       objects

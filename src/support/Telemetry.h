@@ -9,8 +9,8 @@
 /// module turns those one-off bench measurements into a subsystem. Every
 /// VM layer records into the registry through cheap handles; tools dump a
 /// snapshot (`jvolve-run --metrics`), servers answer an in-band stats
-/// probe (`jvolve-serve`), and benches cross-check their private timers
-/// against the registry.
+/// probe (`jvolve-serve`), and benches diff snapshots with
+/// `scripts/metrics-diff.py`.
 ///
 /// Cost model: telemetry is **disabled by default**. Each record path is
 /// one predictable branch on a global flag when disabled; when enabled,
@@ -59,7 +59,6 @@ inline constexpr const char *GcBytesCopied = "vm.gc.bytes_copied";
 inline constexpr const char *GcObjectsCopied = "vm.gc.objects_copied";
 inline constexpr const char *GcSurvivorRate = "vm.gc.survivor_rate";
 inline constexpr const char *GcDsuCollections = "vm.gc.dsu.collections";
-inline constexpr const char *GcDsuPauseMs = "vm.gc.dsu.pause_ms";
 inline constexpr const char *GcDsuBytesCopied = "vm.gc.dsu.bytes_copied";
 inline constexpr const char *GcDsuObjectsRemapped =
     "vm.gc.dsu.objects_remapped";
@@ -213,9 +212,16 @@ inline constexpr const char *FaultCoverageProbes = "fault.coverage.probes";
 inline constexpr const char *FaultCoverageCovered =
     "fault.coverage.covered";
 
-/// Update-phase histogram name: `dsu.update.phase_ms{phase=<Phase>}`.
-/// Phases: snapshot, classload, stack_repair, gc, transform, certify,
-/// rollback, codeversion, total.
+/// The update-pause phases in pipeline order (each update's spans are a
+/// subsequence). Each names a `dsu.update.phase` span and its
+/// `dsu.update.phase_ms{phase=<name>}` histogram; dsu/UpdateTrace.h's
+/// UpdatePhase enumerates the same list.
+inline constexpr const char *DsuUpdatePhases[] = {
+    "snapshot",  "classload", "stack_repair", "gc",
+    "transform", "rollback",  "codeversion",  "certify"};
+
+/// Update-phase histogram name: `dsu.update.phase_ms{phase=<Phase>}`, for
+/// every DsuUpdatePhases name plus "total" (DsuTotalPauseMs).
 std::string dsuPhaseMs(const std::string &Phase);
 
 /// Fault-firing counter name: `dsu.faults.fired{site=<Site>}`.

@@ -4,6 +4,7 @@
 #include "support/Telemetry.h"
 #include "support/TelemetryStream.h"
 
+#include <algorithm>
 #include <cassert>
 #include <limits>
 
@@ -59,6 +60,17 @@ VMThread *Scheduler::findThread(ThreadId Id) {
     if (T->Id == Id)
       return T.get();
   return nullptr;
+}
+
+void Scheduler::reap(ThreadId Id) {
+  auto It = std::find_if(Threads.begin(), Threads.end(),
+                         [Id](const auto &T) { return T->Id == Id; });
+  assert(It != Threads.end() && (*It)->State == ThreadState::Finished &&
+         "reaping a missing or live thread");
+  retireThreadTelemetry(**It);
+  if (static_cast<size_t>(It - Threads.begin()) < NextIndex)
+    --NextIndex;
+  Threads.erase(It);
 }
 
 void Scheduler::setTicks(uint64_t Tick) {

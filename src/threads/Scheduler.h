@@ -45,6 +45,10 @@ public:
 
   VMThread *findThread(ThreadId Id);
 
+  /// Removes finished thread \p Id, retiring its telemetry buffer; the
+  /// round-robin order of the remaining threads is unchanged.
+  void reap(ThreadId Id);
+
   uint64_t ticks() const { return Ticks; }
   void advanceTicks(uint64_t N) { Ticks += N; }
   /// Jumps the clock forward to \p Tick (idle fast-forward).

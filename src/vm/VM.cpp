@@ -68,12 +68,11 @@ static void preregisterStandardMetrics() {
     Tel.gauge(G);
   for (const char *H :
        {metrics::SchedSafePointWaitTicks, metrics::SchedQuantumTicks,
-        metrics::GcPauseMs, metrics::GcSurvivorRate, metrics::GcDsuPauseMs,
+        metrics::GcPauseMs, metrics::GcSurvivorRate,
         metrics::DsuTotalPauseMs, metrics::DsuUpdateRetries,
         metrics::NetDrainMs, metrics::NetLatencyTicks})
     Tel.histogram(H);
-  for (const char *Phase : {"snapshot", "classload", "stack_repair", "gc",
-                            "transform", "certify", "rollback", "codeversion"})
+  for (const char *Phase : metrics::DsuUpdatePhases)
     Tel.histogram(metrics::dsuPhaseMs(Phase));
   // The dsu.codeversion.* gauges follow the dsu.revert.completed precedent:
   // they are NOT preregistered, so their presence in a snapshot proves a
@@ -298,8 +297,13 @@ Slot VM::callStatic(const std::string &ClassName,
     assert(T && "spawned thread vanished");
     if (T->State == ThreadState::Trapped)
       fatalError("callStatic trapped: " + T->TrapMessage);
-    if (T->State == ThreadState::Finished)
-      return T->HasExitValue ? T->ExitValue : Slot::ofInt(0);
+    if (T->State == ThreadState::Finished) {
+      // The caller owns the result now. Left in the scheduler, the dead
+      // thread would be scanned every quantum for the rest of the run.
+      Slot Result = T->HasExitValue ? T->ExitValue : Slot::ofInt(0);
+      Sched.reap(Id);
+      return Result;
+    }
     RunResult R = run(1u << 20);
     if (R.Idle && Sched.findThread(Id)->State != ThreadState::Finished &&
         Sched.findThread(Id)->State != ThreadState::Trapped)

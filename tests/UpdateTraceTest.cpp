@@ -15,6 +15,7 @@
 
 #include <fstream>
 #include <gtest/gtest.h>
+#include <set>
 
 using namespace jvolve;
 using namespace jvolve::test;
@@ -171,20 +172,24 @@ TEST(UpdateTrace, RejectionRecorded) {
 }
 
 TEST(UpdateTrace, EveryEventKindNamedAndRoundTripsThroughSink) {
-  // Every kind must render a non-empty name, and a trace containing one
-  // event of each kind must survive the JSONL sink byte-for-byte.
-  constexpr int NumKinds = static_cast<int>(UpdateEventKind::TimedOut) + 1;
+  // Every kind must render a distinct non-empty name, and a trace holding
+  // one event of each kind plus a phase span must survive the JSONL sink.
+  constexpr int NumKinds = static_cast<int>(NumUpdateEventKinds);
   std::string Path =
       ::testing::TempDir() + "update_trace_roundtrip_test.jsonl";
   Telemetry &Tel = Telemetry::global();
   ASSERT_TRUE(Tel.openTrace(Path));
 
   UpdateTrace T;
+  std::set<std::string> Names;
   for (int K = 0; K < NumKinds; ++K) {
     UpdateEventKind Kind = static_cast<UpdateEventKind>(K);
     EXPECT_STRNE(updateEventKindName(Kind), "") << "kind " << K;
+    Names.insert(updateEventKindName(Kind));
     T.record(Kind, /*Tick=*/100 + K, /*Value=*/K, "detail-" + std::to_string(K));
   }
+  EXPECT_EQ(Names.size(), NumUpdateEventKinds);
+  T.span({UpdatePhase::Gc, 1.25, 7, 4096, "span-detail"}, /*Tick=*/500);
   Tel.closeTrace();
   Tel.setEnabled(false);
 
@@ -192,7 +197,7 @@ TEST(UpdateTrace, EveryEventKindNamedAndRoundTripsThroughSink) {
   ASSERT_TRUE(In.good());
   std::string Line;
   int K = 0;
-  while (std::getline(In, Line)) {
+  while (K < NumKinds && std::getline(In, Line)) {
     TraceEvent E;
     ASSERT_TRUE(TraceEvent::parseLine(Line, E)) << Line;
     EXPECT_EQ(E.Name, "dsu.update.event");
@@ -204,7 +209,115 @@ TEST(UpdateTrace, EveryEventKindNamedAndRoundTripsThroughSink) {
     ++K;
   }
   EXPECT_EQ(K, NumKinds);
+  ASSERT_TRUE(std::getline(In, Line));
+  TraceEvent S;
+  ASSERT_TRUE(TraceEvent::parseLine(Line, S)) << Line;
+  EXPECT_EQ(S.Name, "dsu.update.phase");
+  EXPECT_EQ(S.Phase, "gc");
+  EXPECT_EQ(S.StartTick, 500u);
+  EXPECT_EQ(S.Ms, 1.25);
+  EXPECT_EQ(S.Value, 7);
+  EXPECT_EQ(S.Detail, "span-detail");
+  EXPECT_FALSE(std::getline(In, Line)) << Line;
   std::remove(Path.c_str());
+}
+
+namespace {
+
+/// Applies \p Bundle with telemetry on, over a registry reset just before,
+/// and checks what must hold for every update: each phase histogram holds
+/// exactly the update's spans of that phase (the same doubles), and the
+/// spans come in pipeline order and fit inside the total pause.
+UpdateResult applyWithSingleClock(VM &TheVM, UpdateBundle Bundle,
+                                  UpdateOptions Opts = UpdateOptions()) {
+  Telemetry &Tel = Telemetry::global();
+  bool WasEnabled = Tel.isEnabled();
+  Tel.setEnabled(true);
+  Tel.reset();
+  Updater U(TheVM);
+  UpdateResult R = U.applyNow(std::move(Bundle), Opts);
+  for (size_t P = 0; P < NumUpdatePhases; ++P) {
+    UpdatePhase Phase = static_cast<UpdatePhase>(P);
+    const TelHistogram *H = Tel.findHistogram(
+        metrics::dsuPhaseMs(updatePhaseName(Phase)));
+    if (!H) {
+      ADD_FAILURE() << "no histogram for " << updatePhaseName(Phase);
+      continue;
+    }
+    EXPECT_EQ(H->sum(), R.phaseMs(Phase)) << updatePhaseName(Phase);
+  }
+  double Sum = 0;
+  int Last = -1;
+  for (const PhaseSpan &S : R.Trace.spans()) {
+    EXPECT_GT(static_cast<int>(S.Phase), Last) << updatePhaseName(S.Phase);
+    Last = static_cast<int>(S.Phase);
+    Sum += S.Ms;
+  }
+  EXPECT_LE(Sum, R.TotalPauseMs);
+  Tel.setEnabled(WasEnabled);
+  return R;
+}
+
+bool hasSpan(const UpdateResult &R, UpdatePhase P) {
+  for (const PhaseSpan &S : R.Trace.spans())
+    if (S.Phase == P)
+      return true;
+  return false;
+}
+
+} // namespace
+
+TEST(UpdateTrace, PhaseSpansAreTheOnlyPhaseClock) {
+  ClassSet V1 = traceVersion(1, false);
+  ClassSet Shape = traceVersion(1, true); // class update (field change)
+
+  { // Applied through the stop-the-world pipeline.
+    VM TheVM(smallConfig());
+    TheVM.loadProgram(V1);
+    TheVM.pinnedRoots().push_back(
+        TheVM.allocateObject(TheVM.registry().idOf("Svc")));
+    UpdateResult R =
+        applyWithSingleClock(TheVM, Upt::prepare(V1, Shape, "v1"));
+    ASSERT_EQ(R.Status, UpdateStatus::Applied) << R.Message;
+    for (UpdatePhase P : {UpdatePhase::Snapshot, UpdatePhase::ClassLoad,
+                          UpdatePhase::Gc, UpdatePhase::Transform,
+                          UpdatePhase::Certify})
+      EXPECT_TRUE(hasSpan(R, P)) << updatePhaseName(P);
+    EXPECT_FALSE(hasSpan(R, UpdatePhase::Rollback));
+    TheVM.pinnedRoots().clear();
+  }
+  { // Rolled back: the undo is a span of its own.
+    VM TheVM(smallConfig());
+    TheVM.loadProgram(V1);
+    TheVM.faults().arm(FaultInjector::Site::ClassLoad);
+    UpdateResult R =
+        applyWithSingleClock(TheVM, Upt::prepare(V1, Shape, "v1"));
+    ASSERT_EQ(R.Status, UpdateStatus::RolledBack) << R.Message;
+    EXPECT_TRUE(hasSpan(R, UpdatePhase::Rollback));
+    EXPECT_FALSE(hasSpan(R, UpdatePhase::Gc));
+  }
+  { // Code-versioned: no safe point, so no collection either.
+    VM TheVM(smallConfig());
+    TheVM.loadProgram(V1);
+    UpdateOptions Opts;
+    Opts.CodeVersioning = true;
+    UpdateResult R = applyWithSingleClock(
+        TheVM, Upt::prepare(V1, traceVersion(2, false), "v1"), Opts);
+    ASSERT_EQ(R.Status, UpdateStatus::Applied) << R.Message;
+    ASSERT_TRUE(R.CodeVersioned);
+    EXPECT_TRUE(hasSpan(R, UpdatePhase::CodeVersion));
+    EXPECT_FALSE(hasSpan(R, UpdatePhase::Gc));
+  }
+  { // Certification skipped: no certify span.
+    VM TheVM(smallConfig());
+    TheVM.loadProgram(V1);
+    UpdateOptions Opts;
+    Opts.CertifyAfterUpdate = false;
+    UpdateResult R =
+        applyWithSingleClock(TheVM, Upt::prepare(V1, Shape, "v1"), Opts);
+    ASSERT_EQ(R.Status, UpdateStatus::Applied) << R.Message;
+    EXPECT_FALSE(hasSpan(R, UpdatePhase::Certify));
+  }
 }
 
 TEST(UpdateTrace, RendersReadableLog) {

@@ -41,6 +41,23 @@ TEST(VmBehavior, CallStaticReturnsRefs) {
   EXPECT_EQ(TheVM.stringValue(S.RefVal), "hi");
 }
 
+TEST(VmBehavior, CallStaticReapsItsThread) {
+  // A finished call thread left in the scheduler is scanned every quantum,
+  // so each call would slow every later one down.
+  ClassSet Set;
+  ClassBuilder CB("M");
+  CB.staticMethod("noop", "()V").ret();
+  Set.add(CB.build());
+  VM TheVM(smallConfig());
+  TheVM.loadProgram(Set);
+  ThreadId Daemon = TheVM.spawnThread("M", "noop", "()V", {}, "d", true);
+  size_t Before = TheVM.scheduler().threads().size();
+  for (int I = 0; I < 3; ++I)
+    TheVM.callStatic("M", "noop", "()V");
+  EXPECT_EQ(TheVM.scheduler().threads().size(), Before);
+  EXPECT_NE(TheVM.scheduler().findThread(Daemon), nullptr);
+}
+
 TEST(VmBehavior, RunToCompletionStopsWhenAppThreadsFinish) {
   ClassSet Set;
   ClassBuilder CB("M");

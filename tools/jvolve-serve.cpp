@@ -391,8 +391,8 @@ int main(int argc, char **argv) {
       std::printf("  %s — still serving %s\n",
                   updateStatusName(R.Status),
                   App.versionName(Version).c_str());
-      if (R.RollbackMs > 0)
-        std::printf("  rolled back in %.2f ms: %s\n", R.RollbackMs,
+      if (double UndoMs = R.phaseMs(UpdatePhase::Rollback))
+        std::printf("  rolled back in %.2f ms: %s\n", UndoMs,
                     R.Message.c_str());
     }
     if (R.Quiescence.diagnosed() && R.Status != UpdateStatus::Applied)
@@ -404,7 +404,7 @@ int main(int argc, char **argv) {
     if (R.Certified) {
       if (R.CertificationProblems.empty())
         std::printf("  certified: heap and registry consistent (%.2f ms)\n",
-                    R.CertifyMs);
+                    R.phaseMs(UpdatePhase::Certify));
       else {
         std::printf("  CERTIFICATION FAILED: %zu problem(s)\n",
                     R.CertificationProblems.size());
